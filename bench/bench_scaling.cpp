@@ -1,8 +1,9 @@
 // Experiment P5 — windowed/sharded RAP at 10-100x the reduced bench scale.
 //
 // For each testcase the RAP is solved three ways on identical prepared input:
-//   whole      rap::solve_rap — one monolithic branch & bound (baseline);
-//   sharded    rap::solve_rap_sharded with MTH_SHARDS bands (0 = auto-size)
+//   whole      rap::solve_rap with shards = 1 — one monolithic branch &
+//              bound (baseline);
+//   sharded    rap::solve_rap with MTH_SHARDS bands (0 = auto-size)
 //              plus boundary-window repair, solved twice (1 thread, then
 //              MTH_THREADS workers) and checked bit-identical;
 //   batch-B&B  whole-design solve again with ilp.node_batch = MTH_NODE_BATCH
@@ -144,6 +145,7 @@ int main() {
     ro.n_min_pairs = pc.n_min_pairs;
     ro.width_library = pc.original_library.get();
     ro.ctx.exec.num_threads = 1;
+    ro.shards = 1;
 
     // Whole-design baseline: one monolithic branch & bound.
     WallTimer t_whole;
@@ -155,17 +157,17 @@ int main() {
     sro.shards = shards;
     sro.export_certificate = true;
     WallTimer t_shard;
-    const rap::RapResult shard = rap::solve_rap_sharded(pc.initial, sro);
+    const rap::RapResult shard = rap::solve_rap(pc.initial, sro);
     const double shard_s = t_shard.seconds();
 
     // Sharded again with the worker pool: must be bit-identical.
     sro.ctx.exec.num_threads = threads;
-    const rap::RapResult shard_p = rap::solve_rap_sharded(pc.initial, sro);
+    const rap::RapResult shard_p = rap::solve_rap(pc.initial, sro);
 
     // Whole-design once more through the batch-parallel B&B node loop.
     rap::RapOptions bro = ro;
     bro.ilp.node_batch = node_batch;
-    bro.ilp.num_threads = threads;
+    bro.ctx.exec.num_threads = threads;
     WallTimer t_batch;
     const rap::RapResult batch = rap::solve_rap(pc.initial, bro);
     const double batch_s = t_batch.seconds();

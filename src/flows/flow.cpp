@@ -51,40 +51,27 @@ double minority_area_fraction(const Design& d) {
   return total > 0.0 ? minority / total : 0.0;
 }
 
-}  // namespace
-
-PreparedCase prepare_case(const synth::TestcaseSpec& spec,
-                          const FlowOptions& opt) {
-  trace::SinkScope sink_scope(opt.ctx.sink);
-  MTH_SPAN("flow/prepare");
-  WallTimer timer;
-  PreparedCase pc;
-  pc.spec = spec;
-
-  synth::GeneratorOptions gen = opt.gen;
-  gen.scale = opt.scale;
-  gen.seed = opt.ctx.exec.seed;
-  pc.original_library = liberty::library_ref();
-
-  {
-    MTH_SPAN("synth/generate");
-    auto synth_res = synth::generate_testcase(spec, pc.original_library, gen);
-    pc.initial = std::move(synth_res.design);
-  }
-  pc.minority_cells = pc.initial.num_minority();
-
-  // mLEF transform (paper step ii) and floorplan at 60% util / AR 1.0.
+/// The preparation tail both entry points share: mLEF transform (paper step
+/// ii) and uniform floorplan, the initial placement under `place/global`,
+/// detailed refinement under `place/refine`, the verify hook, the snapshot,
+/// N_minR and the log line. `global_place` runs the analytic placer first
+/// (synthetic cases); ingested designs start from their DEF positions.
+void finish_prepare(PreparedCase& pc, const FlowOptions& opt,
+                    bool global_place, const WallTimer& timer) {
   pc.mlef = std::make_shared<MlefTransform>(pc.original_library,
                                             minority_area_fraction(pc.initial));
   pc.mlef->to_mlef(pc.initial);
   place::build_uniform_floorplan(pc.initial, opt.utilization, opt.aspect_ratio);
 
-  // Unconstrained initial placement (paper step iii).
+  // Unconstrained initial placement (paper step iii), legalized onto the
+  // fresh floorplan with minimum displacement.
   {
     MTH_SPAN("place/global");
-    place::GlobalPlaceOptions gp = opt.gp;
-    gp.seed = opt.ctx.exec.seed;
-    place::global_place(pc.initial, gp);
+    if (global_place) {
+      place::GlobalPlaceOptions gp = opt.gp;
+      gp.seed = opt.ctx.exec.seed;
+      place::global_place(pc.initial, gp);
+    }
     const auto ar = legal::abacus_legalize(pc.initial, {});
     MTH_ASSERT(ar.success, "prepare: initial legalization failed");
   }
@@ -108,11 +95,36 @@ PreparedCase prepare_case(const synth::TestcaseSpec& spec,
   pc.n_min_pairs = baseline::auto_minority_pairs(
       pc.initial, *pc.original_library, opt.baseline.minority_row_fill);
   pc.prepare_seconds = timer.seconds();
-  MTH_INFO << spec.short_name << ": prepared "
+  MTH_INFO << pc.spec.short_name << ": prepared "
+           << (global_place ? "" : "external design, ")
            << pc.initial.netlist.num_instances() << " cells ("
            << pc.minority_cells << " minority), "
            << pc.initial.floorplan.num_pairs() << " row pairs, N_minR="
            << pc.n_min_pairs << " in " << pc.prepare_seconds << "s";
+}
+
+}  // namespace
+
+PreparedCase prepare_case(const synth::TestcaseSpec& spec,
+                          const FlowOptions& opt) {
+  trace::SinkScope sink_scope(opt.ctx.sink);
+  MTH_SPAN("flow/prepare");
+  WallTimer timer;
+  PreparedCase pc;
+  pc.spec = spec;
+
+  synth::GeneratorOptions gen = opt.gen;
+  gen.scale = opt.scale;
+  gen.seed = opt.ctx.exec.seed;
+  pc.original_library = liberty::library_ref();
+
+  {
+    MTH_SPAN("synth/generate");
+    auto synth_res = synth::generate_testcase(spec, pc.original_library, gen);
+    pc.initial = std::move(synth_res.design);
+  }
+  pc.minority_cells = pc.initial.num_minority();
+  finish_prepare(pc, opt, /*global_place=*/true, timer);
   return pc;
 }
 
@@ -137,43 +149,7 @@ PreparedCase prepare_external_case(Design design, const FlowOptions& opt) {
     pc.spec.pct_75t =
         100.0 * pc.minority_cells / static_cast<double>(pc.spec.num_cells);
   }
-
-  // mLEF transform and uniform floorplan, exactly as for synthetic cases.
-  pc.mlef = std::make_shared<MlefTransform>(pc.original_library,
-                                            minority_area_fraction(pc.initial));
-  pc.mlef->to_mlef(pc.initial);
-  place::build_uniform_floorplan(pc.initial, opt.utilization, opt.aspect_ratio);
-
-  {
-    // The ingested placement stands in for the global placer: legalize the
-    // DEF positions onto the fresh uniform floorplan with minimum
-    // displacement, then refine as prepare_case does.
-    MTH_SPAN("place/global");
-    const auto ar = legal::abacus_legalize(pc.initial, {});
-    MTH_ASSERT(ar.success, "prepare_external: initial legalization failed");
-  }
-  {
-    MTH_SPAN("place/refine");
-    rap::RcLegalOptions dp_opt = opt.rclegal;
-    dp_opt.enforce_assignment = false;
-    const auto dp_res = rap::rc_legalize(
-        pc.initial,
-        RowAssignment::all_majority(pc.initial.floorplan.num_pairs()), dp_opt);
-    MTH_ASSERT(dp_res.success, "prepare_external: detailed refinement failed");
-    legal::swap_polish_converge(pc.initial);
-  }
-
-  if (opt.verify) verify_stage(pc.initial, "prepare", nullptr, false);
-
-  pc.initial_positions = placement_snapshot(pc.initial);
-  pc.n_min_pairs = baseline::auto_minority_pairs(
-      pc.initial, *pc.original_library, opt.baseline.minority_row_fill);
-  pc.prepare_seconds = timer.seconds();
-  MTH_INFO << pc.spec.short_name << ": prepared external design, "
-           << pc.initial.netlist.num_instances() << " cells ("
-           << pc.minority_cells << " minority), "
-           << pc.initial.floorplan.num_pairs() << " row pairs, N_minR="
-           << pc.n_min_pairs << " in " << pc.prepare_seconds << "s";
+  finish_prepare(pc, opt, /*global_place=*/false, timer);
   return pc;
 }
 
@@ -272,11 +248,8 @@ FlowOutput run_flow(const PreparedCase& pc, FlowId flow,
           if (ro.ctx.exec.num_threads < 0) {
             ro.ctx.exec.num_threads = opt.ctx.exec.num_threads;
           }
-          // solve_rap_sharded delegates to the whole-design solve_rap when
-          // the effective band count is 1 (the default), so the historical
-          // path is unchanged unless --shards / rap.shards asks for bands.
           pc.rap_cache = std::make_shared<const rap::RapResult>(
-              rap::solve_rap_sharded(design, ro));
+              rap::solve_rap(design, ro));
         }
         const rap::RapResult& rr = *pc.rap_cache;
         if (opt.verify) {

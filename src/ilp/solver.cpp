@@ -86,7 +86,7 @@ std::vector<double> rounded(const std::vector<double>& x,
 
 Result solve(lp::Model model, const std::vector<int>& integer_vars,
              const Options& options, const std::vector<double>* warm_start,
-             const lp::Basis* root_basis) {
+             const lp::Basis* root_basis, const util::ExecPolicy& exec) {
   WallTimer timer;
   Result res;
 
@@ -208,7 +208,7 @@ Result solve(lp::Model model, const std::vector<int>& integer_vars,
       }
     } else {
       util::ParallelOptions par;
-      par.num_threads = options.num_threads;
+      par.num_threads = exec.num_threads;
       par.grain = 1;
       par.trace_name = "ilp/worker";
       util::parallel_chunks(

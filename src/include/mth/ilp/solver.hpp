@@ -15,6 +15,7 @@
 
 #include "mth/lp/model.hpp"
 #include "mth/lp/simplex.hpp"
+#include "mth/util/exec.hpp"
 
 namespace mth::ilp {
 
@@ -59,12 +60,9 @@ struct Options {
   /// thread count only moves wall-clock, so results are bit-identical at any
   /// MTH_THREADS. 1 = the historical serial best-first loop (in-place bound
   /// mutation, no model copies). The serial-vs-batch A/B lives in
-  /// `bench_scaling` (BENCH_shard.json; gated by tools/perf_smoke.sh).
+  /// `bench_scaling` (BENCH_shard.json; gated by tools/perf_smoke.sh). The
+  /// worker count comes from the ExecPolicy handed to solve().
   int node_batch = 1;
-  /// Worker threads for batch node LP solves (-1 = process default, see
-  /// util::ParallelOptions). Never affects results, only wall-clock; ignored
-  /// when node_batch == 1.
-  int num_threads = -1;
 };
 
 struct Result {
@@ -95,10 +93,13 @@ struct Result {
 /// restricted to integers. `warm_start`, when given and feasible, seeds the
 /// incumbent; `root_basis`, when given (e.g. from a root cut loop's last LP),
 /// warm-starts the root relaxation. The model is taken by value (bounds are
-/// mutated during search).
+/// mutated during search). `exec.num_threads` sizes the batch node-LP
+/// workers (Options::node_batch > 1); it never affects results, only
+/// wall-clock.
 Result solve(lp::Model model, const std::vector<int>& integer_vars,
              const Options& options = {},
              const std::vector<double>* warm_start = nullptr,
-             const lp::Basis* root_basis = nullptr);
+             const lp::Basis* root_basis = nullptr,
+             const util::ExecPolicy& exec = {});
 
 }  // namespace mth::ilp

@@ -65,15 +65,12 @@
 // local and writing through it) is out of lexical reach; TSan remains the
 // dynamic backstop for that.
 //
-// Findings can be suppressed two ways:
-//  * inline, with a justification comment the scanner recognizes on the same
-//    or preceding line:  // mth-lint: allow(det-unordered): lookup-only table
-//  * via the checked-in baseline (tools/lint_baseline.json) keyed by
-//    (rule, file, snippet) — line numbers drift, snippets rarely do — so
-//    legacy findings don't block while new ones still fail.
+// A finding is suppressed only inline, with a justification comment the
+// scanner recognizes on the same or preceding line:
+//   // mth-lint: allow(det-unordered): lookup-only table
 //
 // Entry points: lint_source() over one buffer (unit tests, editors),
-// tools/mth_lint for the tree walk + baseline/registry plumbing, and the
+// tools/mth_lint for the tree walk + registry/layers plumbing, and the
 // tier-1 `lint_repo` ctest which runs the CLI over the repository.
 
 #include <optional>
@@ -104,7 +101,7 @@ enum class Rule {
 };
 
 /// Stable kebab-case rule id, used in diagnostics, suppression comments,
-/// the JSON output and the baseline ("det-rand", "trace-registry", ...).
+/// and the JSON output ("det-rand", "trace-registry", ...).
 const char* to_string(Rule r);
 std::optional<Rule> rule_from_string(std::string_view id);
 
@@ -113,7 +110,7 @@ const char* rule_description(Rule r);
 
 /// One diagnostic. `file` is whatever path label the caller passed in
 /// (repo-relative by convention); `snippet` is the trimmed source line the
-/// finding anchors to and doubles as the drift-tolerant baseline key part.
+/// finding anchors to.
 struct Finding {
   Rule rule = Rule::DetRand;
   std::string file;
@@ -121,10 +118,6 @@ struct Finding {
   std::string message;
   std::string snippet;
 };
-
-/// Baseline / dedup key: rule id, file and snippet (not the line number, so
-/// unrelated edits above a baselined finding don't invalidate it).
-std::string finding_key(const Finding& f);
 
 /// The checked-in span-name registry (tools/trace_spans.json). An empty
 /// registry disables the trace-registry rule in lint_source().
@@ -181,7 +174,7 @@ struct IncludeUse {
   int line = 0;
   bool allow_violation = false;  ///< inline layer-violation suppression
   bool allow_cycle = false;      ///< inline layer-cycle suppression
-  std::string snippet;           ///< trimmed source line (baseline key part)
+  std::string snippet;           ///< trimmed source line
 };
 std::vector<IncludeUse> collect_includes(std::string_view text);
 
@@ -213,7 +206,7 @@ std::vector<Finding> check_layers(const std::vector<FileIncludes>& files,
 
 /// Schema v2: {"version": 2, "total": N, "counts": {"<rule>": n, ...},
 /// "findings": [{rule, file, line, module, message, snippet}, ...]}.
-/// parse_findings_json also accepts the v1 form (no counts, no module).
+/// parse_findings_json rejects any other version.
 std::string findings_to_json(const std::vector<Finding>& findings);
 std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
                                                         std::string* error);
@@ -223,17 +216,6 @@ std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
 /// annotations. File-level findings (line 0) clamp to startLine 1 as the
 /// SARIF spec requires regions to be 1-based.
 std::string findings_to_sarif(const std::vector<Finding>& findings);
-
-std::string baseline_to_json(const std::vector<Finding>& findings);
-std::optional<std::vector<std::string>> parse_baseline(std::string_view json,
-                                                       std::string* error);
-
-/// Drop findings whose finding_key() appears in `baseline_keys`. Keys in the
-/// baseline that matched nothing are appended to *stale (when non-null) —
-/// the CLI fails on them so the baseline never rots.
-std::vector<Finding> apply_baseline(std::vector<Finding> findings,
-                                    const std::vector<std::string>& baseline_keys,
-                                    std::vector<std::string>* stale);
 
 std::string registry_to_json(const Registry& registry);
 std::optional<Registry> parse_registry(std::string_view json,

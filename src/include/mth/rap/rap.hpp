@@ -16,6 +16,7 @@
 // each cell's HPWL change when moved vertically to row r at constant x.
 // Cluster widths use the *original* (pre-mLEF) cell widths (§III-C).
 
+#include <algorithm>
 #include <memory>
 
 #include "mth/db/design.hpp"
@@ -58,8 +59,9 @@ struct RapOptions {
   /// objective aligned with the reported metric (DESIGN.md §5; ablated in
   /// bench_ablation_clustering).
   bool model_eviction = true;
-  /// Execution policy (ctx.exec.num_threads drives the cost-matrix build
-  /// and k-means assignment; see util::ExecPolicy) and observability sink.
+  /// Execution policy (ctx.exec.num_threads drives the cost-matrix build,
+  /// k-means assignment, the band solves and the batch branch & bound
+  /// workers; see util::ExecPolicy) and observability sink.
   /// solve_rap installs ctx.sink for its duration, emitting rap/cluster,
   /// rap/cost_matrix and rap/ilp spans plus the solver counters (README
   /// "Observability"); a null sink inherits the caller's.
@@ -69,31 +71,32 @@ struct RapOptions {
   /// independently (`mth_fuzz --certify`; EXPERIMENTS V1). Costs one copy
   /// of the (sparse, pruned) model; off for memory-tight sweeps.
   bool export_certificate = true;
-  /// A/B knob — sharded decomposition (solve_rap_sharded): the floorplan's
-  /// row pairs are cut into this many contiguous horizontal bands, the
-  /// minority-row quota is split across bands proportionally to band cluster
-  /// mass, each band solves as an independent sparse RAP subproblem on the
-  /// deterministic thread pool, and every band boundary is then reconciled
-  /// by a small repair ILP. 1 = whole-design exact solve (solve_rap
-  /// semantics; the default), 0 = auto-size the band count from the cluster
-  /// count, N > 1 = exactly min(N, feasible) bands. Decomposition trades the
-  /// whole-design certificate for per-band certificates aggregated by
+  /// A/B knob — sharded decomposition: the floorplan's row pairs are cut
+  /// into this many contiguous horizontal bands, the minority-row quota is
+  /// split across bands proportionally to band cluster mass, each band
+  /// solves as an independent sparse RAP subproblem on the deterministic
+  /// thread pool, and every band boundary is then reconciled by a small
+  /// repair ILP. 1 = whole-design exact solve (one band, no repair; the
+  /// default), 0 = auto-size the band count from the cluster count, N > 1 =
+  /// exactly min(N, pair count) bands, or one band (counted as
+  /// `rap/shard_fallback`) when the split is infeasible. Decomposition trades
+  /// the whole-design certificate for per-band certificates aggregated by
   /// verify::certify_rap. The sharded-vs-whole A/B lives in `bench_scaling`
   /// (BENCH_shard.json; gated by tools/perf_smoke.sh) and behind
   /// `mth_flow --shards`.
   int shards = 1;
   /// Pairs on each side of a band boundary re-optimized by the boundary
-  /// repair ILP after the band merge (solve_rap_sharded only).
+  /// repair ILP after the band merge (two or more bands only).
   int shard_overlap = 2;
   ilp::Options ilp = default_ilp_options();
   /// A/B knob — ECO re-solve (README "Serving"): a prior whole-design
   /// RapResult for a *similar* design (same floorplan pair count, quota and
   /// cluster count — typically the pre-perturbation run of an ECO loop).
-  /// When set and compatible, solve_rap hot-starts from it: the prior
-  /// cluster→pair assignment and open-row set are offered as the incumbent
-  /// warm point, and the prior certificate's root lp::Basis seeds the root
-  /// cut loop's first LP (dual re-solve instead of cold two-phase). A warm
-  /// hint never changes the answer, only the work — incompatible or
+  /// When set and compatible, the one-band solve hot-starts from it: the
+  /// prior cluster→pair assignment and open-row set are offered as the
+  /// incumbent warm point, and the prior certificate's root lp::Basis seeds
+  /// the root cut loop's first LP (dual re-solve instead of cold two-phase).
+  /// A warm hint never changes the answer, only the work — incompatible or
   /// infeasible hints fall back to the cold path. Acceptance shows up as
   /// RapResult::basis_reuse_hits and the `rap/eco_hot` trace counter. The
   /// warm-vs-cold ECO A/B lives in `bench_serve` (BENCH_serve.json; gated
@@ -138,7 +141,7 @@ struct RapCertificate {
   lp::Basis root_basis;
 };
 
-/// One horizontal band of a sharded solve (solve_rap_sharded): the pair
+/// One horizontal band of a sharded solve (RapOptions::shards): the pair
 /// window it owns, the clusters routed to it, its share of the Eq. 5 quota,
 /// and the band subproblem's solver outcome *at band-solve time* — the
 /// boundary repair pass may afterwards move clusters or open pairs across
@@ -160,16 +163,35 @@ struct RapBand {
   std::shared_ptr<const RapCertificate> certificate;
 };
 
-struct RapResult {
+/// Solver counters shared by one subproblem solve (detail::SubSolution) and
+/// a whole RAP solve (RapResult, which aggregates its bands with merge()).
+struct RapStats {
+  int ilp_nodes = 0;
+  int lp_iterations = 0;     ///< simplex pivots: root cut loop + all B&B nodes
+  int basis_reuse_hits = 0;  ///< LP solves that started from a warm basis
+  int cand_widenings = 0;    ///< feasibility-repair widening passes taken
+  /// Actual ILP assignment-variable count: the sum of per-cluster candidate
+  /// list lengths (== the paper's N_C x N_R only when pruning is off).
+  int num_x_vars = 0;
+  int num_cand_rows = 0;     ///< widest per-cluster candidate list used
+
+  /// Fold another solve's counters in: sums, except the widest list.
+  void merge(const RapStats& o) {
+    ilp_nodes += o.ilp_nodes;
+    lp_iterations += o.lp_iterations;
+    basis_reuse_hits += o.basis_reuse_hits;
+    cand_widenings += o.cand_widenings;
+    num_x_vars += o.num_x_vars;
+    num_cand_rows = std::max(num_cand_rows, o.num_cand_rows);
+  }
+};
+
+struct RapResult : RapStats {
   RowAssignment assignment;
   std::vector<InstId> minority_cells;
   std::vector<int> cluster_of;   ///< minority-cell index -> cluster
   std::vector<int> cluster_pair; ///< cluster -> assigned row pair
   int num_clusters = 0;
-  /// Actual ILP assignment-variable count: the sum of per-cluster candidate
-  /// list lengths (== the paper's N_C x N_R only when pruning is off).
-  int num_x_vars = 0;
-  int num_cand_rows = 0;         ///< widest per-cluster candidate list used
   int n_min_pairs = 0;
 
   double cluster_seconds = 0.0;
@@ -179,10 +201,6 @@ struct RapResult {
   ilp::Status status = ilp::Status::NoSolution;
   double objective = 0.0;
   double gap = 0.0;
-  int ilp_nodes = 0;
-  int lp_iterations = 0;         ///< simplex pivots: root cut loop + all B&B nodes
-  int basis_reuse_hits = 0;      ///< LP solves that started from a warm basis
-  int cand_widenings = 0;        ///< feasibility-repair widening passes taken
 
   /// Dual certificate for independent gap verification; null when
   /// RapOptions::export_certificate is off or the root LP never reached
@@ -191,8 +209,8 @@ struct RapResult {
   std::shared_ptr<const RapCertificate> certificate;
 
   /// Sharded-solve decomposition record: one entry per band, in ascending
-  /// pair order. Empty for whole-design solves (solve_rap, or a sharded
-  /// call that fell back / collapsed to one band). When non-empty, the
+  /// pair order. Empty for one-band solves (shards == 1, or a sharded call
+  /// that fell back / collapsed to one band). When non-empty, the
   /// top-level `certificate` is null and verification goes through the
   /// per-band certificates instead.
   std::vector<RapBand> bands;
@@ -200,24 +218,29 @@ struct RapResult {
 };
 
 /// Solve the RAP for a design holding an unconstrained initial placement
-/// (mLEF space). Deterministic for fixed options, including across
-/// `num_threads` values.
+/// (mLEF space) — the one entry point (README "Scaling"). Prepares the
+/// clustering and f_cr matrix once, cuts the row pairs into
+/// RapOptions::shards contiguous horizontal bands, routes each cluster to
+/// the band owning its y centroid, splits the minority-row quota across
+/// bands (per-band feasibility floor + largest-remainder proportional to
+/// band cluster mass, in fixed band order), solves the bands as independent
+/// subproblems on util::ThreadPool, merges in fixed band order, then runs a
+/// small repair ILP over every band-interface window (warm-started with the
+/// merged solution, so repair only ever improves). The whole-design solve
+/// is the one-band case: no split, no repair, the RapOptions::eco_base hot
+/// start, and a hard failure when no feasible assignment exists. A
+/// decomposition that is infeasible (a band's cluster mass exceeding its
+/// capacity or quota share, or a band ILP without a solution) falls back to
+/// one band, logged at WARN and counted as `rap/shard_fallback`.
+/// Bit-identical for fixed options at any `num_threads`.
 RapResult solve_rap(const Design& design, const RapOptions& options = {});
 
-/// Sharded RAP (README "Scaling"): cut the row pairs into
-/// RapOptions::shards contiguous horizontal bands, route each cluster to
-/// the band owning its y centroid, split the minority-row quota across
-/// bands (per-band feasibility floor + largest-remainder proportional to
-/// band cluster mass, in fixed band order), solve the bands as independent
-/// subproblems on util::ThreadPool, merge in fixed band order, then run a
-/// small repair ILP over every band-interface window to reconcile quota
-/// drift and boundary evictions (warm-started with the merged solution, so
-/// repair only ever improves). Delegates to solve_rap when the effective
-/// band count is 1 and falls back to it when the decomposition is
-/// infeasible (a band's cluster mass exceeding its capacity or quota
-/// share). Bit-identical for fixed options at any `num_threads`.
-RapResult solve_rap_sharded(const Design& design,
-                            const RapOptions& options = {});
+/// Same as solve_rap; kept only because the repository benchmark
+/// (perfbench/main.cpp) calls it by this name.
+inline RapResult solve_rap_sharded(const Design& design,
+                                   const RapOptions& options = {}) {
+  return solve_rap(design, options);
+}
 
 namespace detail {
 
@@ -296,8 +319,7 @@ std::vector<double> build_cost_matrix(const Design& design,
 /// Everything solve_rap derives from the Design before the ILP stage:
 /// minority set, clustering, cluster widths, the full f_cr matrix, eviction
 /// surcharges and the warm-start geometry. Built once by prepare_rap and
-/// consumed whole by solve_prepared (whole-design) or sliced per band by
-/// solve_rap_sharded.
+/// consumed whole by a one-band solve or sliced per band by solve_rap.
 struct PreparedRap {
   std::vector<InstId> minority_cells;
   std::vector<int> cluster_of;  ///< minority index -> cluster
@@ -316,8 +338,8 @@ struct PreparedRap {
 PreparedRap prepare_rap(const Design& design, const RapOptions& options);
 
 /// One RAP assignment subproblem over a contiguous window of row pairs —
-/// the whole design for solve_rap, one horizontal band or one boundary
-/// repair window for solve_rap_sharded. All indices are window-local:
+/// the whole design, one horizontal band or one boundary repair window.
+/// All indices are window-local:
 /// cluster c in [0, n_clusters), pair r in [0, nr).
 struct SubInstance {
   int n_clusters = 0;
@@ -343,38 +365,24 @@ struct SubInstance {
 };
 
 /// Solver outcome of one subproblem, window-local indices throughout.
-struct SubSolution {
+struct SubSolution : RapStats {
   ilp::Status status = ilp::Status::NoSolution;
   double objective = 0.0;
   double best_bound = 0.0;
   double gap = 0.0;
   std::vector<int> cluster_pair;  ///< local cluster -> local pair
   std::vector<char> open;         ///< local pair -> opened as minority
-  int num_x_vars = 0;
-  int num_cand_rows = 0;
-  int nodes = 0;
-  int lp_iterations = 0;
-  int basis_reuse_hits = 0;
-  int cand_widenings = 0;
   double seconds = 0.0;
   std::shared_ptr<const RapCertificate> certificate;  ///< local indices
 };
 
 /// Candidate pruning + root cut loop + warm starts + branch & bound for one
-/// SubInstance (the extracted ILP stage of the historical solve_rap; the
-/// whole-design path through it is bit-identical to that code). Emits one
-/// `rap/ilp` span. Returns status Infeasible/NoSolution instead of
-/// asserting when no feasible assignment exists — callers decide between
-/// the historical hard-failure contract (solve_rap) and falling back to a
-/// whole-design solve (solve_rap_sharded).
+/// SubInstance. Emits one `rap/ilp` span; the batch branch & bound takes its
+/// workers from options.ctx.exec. Returns status Infeasible/NoSolution
+/// instead of asserting when no feasible assignment exists — solve_rap
+/// decides between falling back to one band and the one-band hard failure.
 SubSolution solve_subproblem(const SubInstance& inst,
                              const RapOptions& options);
-
-/// Whole-design solve over an already-built PreparedRap (the tail of
-/// solve_rap; also the sharded solver's fallback so preparation never runs
-/// twice). Asserts on infeasibility like solve_rap.
-RapResult solve_prepared(const Design& design, const RapOptions& options,
-                         PreparedRap prep);
 
 }  // namespace detail
 

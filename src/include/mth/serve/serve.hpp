@@ -94,8 +94,7 @@ class Server {
   std::shared_ptr<const rap::RapResult> result_of(const std::string& id) const;
 
  private:
-  // A parsed, admitted envelope (kinds "job" and "repro", plus the
-  // one-release legacy mth_fuzz repro card).
+  // A parsed, admitted envelope (kinds "job" and "repro").
   struct Job {
     std::string id;
     std::string tenant;

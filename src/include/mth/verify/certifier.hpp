@@ -22,7 +22,7 @@
 //      the bound, never invalidate it. The certified gap is
 //      (objective - bound) / max(|objective|, 1).
 //
-// Sharded results (RapResult::bands non-empty, from rap::solve_rap_sharded)
+// Sharded results (RapResult::bands non-empty, RapOptions::shards != 1)
 // run step 3 once per band: the decomposition record must partition the
 // pairs, clusters and Eq. 5 quota exactly; each band's certificate is
 // checked against its own pair window (band-local indices, band quota as the

@@ -455,10 +455,6 @@ std::optional<Rule> rule_from_string(std::string_view id) {
   return it == kIds.end() ? std::nullopt : std::optional<Rule>(it->second);
 }
 
-std::string finding_key(const Finding& f) {
-  return std::string(to_string(f.rule)) + '\x1f' + f.file + '\x1f' + f.snippet;
-}
-
 std::vector<Finding> lint_source(const std::string& file,
                                  std::string_view text,
                                  const Options& options) {
@@ -501,9 +497,9 @@ TraceUses collect_trace_uses(std::string_view text) {
 }
 
 std::string findings_to_json(const std::vector<Finding>& findings) {
-  // Schema v2 (extends v1 with per-rule counts and a per-finding module
-  // label): consumed by tools/lint_smoke.sh's schema check and CI artifact
-  // tooling, round-tripped by parse_findings_json below.
+  // Schema v2 (per-rule counts and a per-finding module label): consumed by
+  // tools/lint_smoke.sh's schema check and CI artifact tooling, round-tripped
+  // by parse_findings_json below.
   std::map<std::string, int> counts;
   for (const Finding& f : findings) ++counts[to_string(f.rule)];
   std::ostringstream os;
@@ -539,8 +535,8 @@ std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
   if (doc.kind != JValue::Obj) return fail("top level must be an object");
   const JValue* version = doc.find("version");
   if (version == nullptr || version->kind != JValue::Num ||
-      (version->num != 1.0 && version->num != 2.0)) {
-    return fail("missing or unsupported 'version' (want 1 or 2)");
+      version->num != 2.0) {
+    return fail("missing or unsupported 'version' (want 2)");
   }
   const JValue* arr = doc.find("findings");
   if (arr == nullptr || arr->kind != JValue::Arr) {
@@ -578,112 +574,24 @@ std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
     ++counts[rule->str];
     out.push_back(std::move(f));
   }
-  if (version->num == 2.0) {
-    // v2 requires the per-rule counts block and holds it consistent with the
-    // findings array, so truncated artifacts are rejected loudly.
-    const JValue* cv = doc.find("counts");
-    if (cv == nullptr || cv->kind != JValue::Obj) {
-      return fail("v2 requires a 'counts' object");
-    }
-    std::size_t sum = 0;
-    for (const auto& [rule, n] : cv->obj) {
-      if (n.kind != JValue::Num || !rule_from_string(rule)) {
-        return fail("bad 'counts' entry '" + rule + "'");
-      }
-      if (counts[rule] != static_cast<int>(n.num)) {
-        return fail("'counts." + rule + "' disagrees with the findings");
-      }
-      sum += static_cast<std::size_t>(n.num);
-    }
-    if (sum != out.size()) return fail("'counts' must sum to 'total'");
+  // The per-rule counts block must agree with the findings array, so
+  // truncated artifacts are rejected loudly.
+  const JValue* cv = doc.find("counts");
+  if (cv == nullptr || cv->kind != JValue::Obj) {
+    return fail("v2 requires a 'counts' object");
   }
+  std::size_t sum = 0;
+  for (const auto& [rule, n] : cv->obj) {
+    if (n.kind != JValue::Num || !rule_from_string(rule)) {
+      return fail("bad 'counts' entry '" + rule + "'");
+    }
+    if (counts[rule] != static_cast<int>(n.num)) {
+      return fail("'counts." + rule + "' disagrees with the findings");
+    }
+    sum += static_cast<std::size_t>(n.num);
+  }
+  if (sum != out.size()) return fail("'counts' must sum to 'total'");
   return out;
-}
-
-std::string baseline_to_json(const std::vector<Finding>& findings) {
-  // One entry per distinct key, sorted, so regeneration is diff-stable.
-  std::set<std::string> keys;
-  std::ostringstream os;
-  os << "{\n \"version\": 1,\n \"suppressions\": [";
-  bool first = true;
-  std::vector<const Finding*> sorted;
-  sorted.reserve(findings.size());
-  for (const Finding& f : findings) sorted.push_back(&f);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Finding* a, const Finding* b) {
-              return finding_key(*a) < finding_key(*b);
-            });
-  for (const Finding* f : sorted) {
-    if (!keys.insert(finding_key(*f)).second) continue;
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "  {\"rule\": \"" << to_string(f->rule) << "\", \"file\": \""
-       << json_escape(f->file) << "\", \"snippet\": \""
-       << json_escape(f->snippet) << "\"}";
-  }
-  os << (first ? "]\n}\n" : "\n ]\n}\n");
-  return os.str();
-}
-
-std::optional<std::vector<std::string>> parse_baseline(std::string_view json,
-                                                       std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      version->num != 1.0) {
-    return fail("missing or unsupported 'version' (want 1)");
-  }
-  const JValue* arr = doc.find("suppressions");
-  if (arr == nullptr || arr->kind != JValue::Arr) {
-    return fail("'suppressions' must be an array");
-  }
-  std::vector<std::string> keys;
-  for (const JValue& v : arr->arr) {
-    const JValue* rule = v.kind == JValue::Obj ? v.find("rule") : nullptr;
-    const JValue* file = v.kind == JValue::Obj ? v.find("file") : nullptr;
-    const JValue* snippet =
-        v.kind == JValue::Obj ? v.find("snippet") : nullptr;
-    if (rule == nullptr || rule->kind != JValue::Str ||
-        file == nullptr || file->kind != JValue::Str ||
-        snippet == nullptr || snippet->kind != JValue::Str) {
-      return fail("suppression missing rule/file/snippet");
-    }
-    if (!rule_from_string(rule->str)) {
-      return fail("unknown rule id '" + rule->str + "'");
-    }
-    keys.push_back(rule->str + '\x1f' + file->str + '\x1f' + snippet->str);
-  }
-  return keys;
-}
-
-std::vector<Finding> apply_baseline(
-    std::vector<Finding> findings,
-    const std::vector<std::string>& baseline_keys,
-    std::vector<std::string>* stale) {
-  const std::set<std::string> keys(baseline_keys.begin(),
-                                   baseline_keys.end());
-  std::set<std::string> hit;
-  std::vector<Finding> kept;
-  for (Finding& f : findings) {
-    const std::string key = finding_key(f);
-    if (keys.count(key) != 0) {
-      hit.insert(key);
-    } else {
-      kept.push_back(std::move(f));
-    }
-  }
-  if (stale != nullptr) {
-    for (const std::string& key : keys) {
-      if (hit.count(key) == 0) stale->push_back(key);
-    }
-  }
-  return kept;
 }
 
 std::string registry_to_json(const Registry& registry) {

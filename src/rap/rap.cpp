@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
 
 #include "mth/cluster/kmeans.hpp"
@@ -466,10 +465,9 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
   }
 
   // Build + solve, re-entered with widened candidate windows if the pruned
-  // ILP comes back infeasible (the dense formulation never does — callers
-  // enforce their own contract on an infeasible return: solve_prepared
-  // preserves the historical hard failure, the sharded solver falls back to
-  // the whole design).
+  // ILP comes back infeasible (the dense formulation never does — the caller
+  // enforces its own contract on an infeasible return: a band falls back to
+  // one band, the one-band solve keeps the historical hard failure).
   std::vector<std::vector<int>> xvar;
   std::vector<int> yvar;
   lp::Model model;
@@ -744,7 +742,7 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
         for (int v = 0; v < num_vars; ++v) ints.push_back(v);
         return ints;
       }(), iopt, have_warm ? &warm : nullptr,
-      have_basis ? &round_basis : nullptr);
+      have_basis ? &round_basis : nullptr, opt.ctx.exec);
   sol.lp_iterations += ir.lp_iterations;
   sol.basis_reuse_hits += ir.basis_reuse_hits;
   if (ir.status == ilp::Status::Optimal || ir.status == ilp::Status::Feasible) {
@@ -769,7 +767,7 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
   sol.objective = ir.objective;
   sol.best_bound = ir.best_bound;
   sol.gap = ir.gap();
-  sol.nodes = ir.nodes;
+  sol.ilp_nodes = ir.nodes;
 
   // Dual-certificate export: the model kept here is the exact root model
   // branch & bound searched (ilp::solve took its own copy and only its copy
@@ -818,135 +816,6 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
   return sol;
 }
 
-RapResult solve_prepared(const Design& design, const RapOptions& opt,
-                         PreparedRap prep) {
-  (void)design;
-  const int nr = prep.nr;
-  const int n_clusters = prep.n_clusters;
-  RapResult res;
-  res.minority_cells = std::move(prep.minority_cells);
-  res.cluster_of = std::move(prep.cluster_of);
-  res.num_clusters = n_clusters;
-  res.n_min_pairs = prep.n_min_pairs;
-  res.cluster_seconds = prep.cluster_seconds;
-  res.cost_seconds = prep.cost_seconds;
-
-  SubInstance si;
-  si.n_clusters = n_clusters;
-  si.nr = nr;
-  si.n_min_pairs = prep.n_min_pairs;
-  si.cluster_w = std::move(prep.cluster_w);
-  si.cost = std::move(prep.full_cost);
-  si.caps.assign(static_cast<std::size_t>(nr), prep.pair_cap);
-  si.evict_cost = std::move(prep.evict_cost);
-  si.member_ys = std::move(prep.member_ys);
-  si.pair_y = std::move(prep.pair_y);
-
-  // ECO hot start (RapOptions::eco_base): map the prior run's solution onto
-  // this instance's clustering and offer it as the external incumbent, and
-  // hand the prior certificate's root basis to the cut loop. The mapping
-  // goes through minority-cell *identity* (the minority enumeration is
-  // position-independent, so index i names the same cell in both runs):
-  // each new cluster takes the majority vote of its members' prior pairs.
-  // Any shape mismatch or out-of-range index — a perturbation large enough
-  // to change the minority set, quota or cluster count, or an untrusted
-  // deserialized base — degrades silently to the cold path.
-  if (opt.eco_base != nullptr) {
-    const RapResult& base = *opt.eco_base;
-    bool ok = base.bands.empty() && base.num_clusters > 0 &&
-              base.n_min_pairs == prep.n_min_pairs &&
-              base.assignment.num_pairs() == nr &&
-              base.minority_cells == res.minority_cells &&
-              base.cluster_of.size() == res.minority_cells.size() &&
-              static_cast<int>(base.cluster_pair.size()) == base.num_clusters;
-    if (ok) {
-      for (const int c : base.cluster_of) {
-        if (c < 0 || c >= base.num_clusters) ok = false;
-      }
-      for (const int r : base.cluster_pair) {
-        if (r < 0 || r >= nr) ok = false;
-      }
-    }
-    if (ok) {
-      std::vector<std::map<int, int>> votes(
-          static_cast<std::size_t>(n_clusters));
-      for (std::size_t i = 0; i < res.cluster_of.size(); ++i) {
-        const int nc = res.cluster_of[i];
-        const int prior_pair =
-            base.cluster_pair[static_cast<std::size_t>(base.cluster_of[i])];
-        if (nc < 0 || nc >= n_clusters) {
-          ok = false;
-          break;
-        }
-        ++votes[static_cast<std::size_t>(nc)][prior_pair];
-      }
-      if (ok) {
-        std::vector<int> warm_pair(static_cast<std::size_t>(n_clusters), -1);
-        for (int c = 0; c < n_clusters; ++c) {
-          int best = -1, best_votes = -1;
-          // std::map iteration is pair-index ascending: ties break low.
-          for (const auto& [pair, n] : votes[static_cast<std::size_t>(c)]) {
-            if (n > best_votes) {
-              best_votes = n;
-              best = pair;
-            }
-          }
-          if (best < 0) ok = false;
-          warm_pair[static_cast<std::size_t>(c)] = best;
-        }
-        if (ok) {
-          si.warm_pair = std::move(warm_pair);
-          si.warm_open.assign(static_cast<std::size_t>(nr), 0);
-          for (int r = 0; r < nr; ++r) {
-            si.warm_open[static_cast<std::size_t>(r)] =
-                base.assignment.is_minority_pair(r) ? 1 : 0;
-          }
-          if (base.certificate != nullptr) {
-            si.hot_basis = base.certificate->root_basis;
-          }
-          MTH_COUNT("rap/eco_hot", 1);
-          MTH_DEBUG << "rap: eco hot start mapped (" << n_clusters
-                    << " clusters, basis "
-                    << (si.hot_basis.empty() ? "cold" : "warm") << ")";
-        }
-      }
-    }
-  }
-
-  SubSolution ss = solve_subproblem(si, opt);
-  // Historical dense-formulation contract: the whole-design instance is
-  // feasible by construction of N_minR, so an infeasible return means the
-  // capacity model itself is broken.
-  MTH_ASSERT(ss.status == ilp::Status::Optimal ||
-                 ss.status == ilp::Status::Feasible,
-             "rap: ILP found no feasible assignment (capacity too tight?)");
-  res.status = ss.status;
-  res.objective = ss.objective;
-  res.gap = ss.gap;
-  res.ilp_nodes = ss.nodes;
-  res.lp_iterations = ss.lp_iterations;
-  res.basis_reuse_hits = ss.basis_reuse_hits;
-  res.cand_widenings += ss.cand_widenings;
-  res.num_x_vars = ss.num_x_vars;
-  res.num_cand_rows = ss.num_cand_rows;
-  res.ilp_seconds = ss.seconds;
-  res.certificate = std::move(ss.certificate);
-  res.assignment = RowAssignment::all_majority(nr);
-  for (int r = 0; r < nr; ++r) {
-    res.assignment.pair_is_minority[static_cast<std::size_t>(r)] =
-        ss.open[static_cast<std::size_t>(r)] != 0;
-  }
-  res.cluster_pair = std::move(ss.cluster_pair);
-  return res;
-}
-
 }  // namespace detail
-
-RapResult solve_rap(const Design& design, const RapOptions& opt) {
-  trace::SinkScope sink_scope(opt.ctx.sink);
-  MTH_SPAN("rap/solve");
-  detail::PreparedRap prep = detail::prepare_rap(design, opt);
-  return detail::solve_prepared(design, opt, std::move(prep));
-}
 
 }  // namespace mth::rap

@@ -380,10 +380,11 @@ TEST_P(BatchedBnb, BitIdenticalAcrossThreadsAndMatchesSerial) {
     const Result serial = solve(m, all_vars(m));
     Options batch;
     batch.node_batch = 8;
-    batch.num_threads = 1;
-    const Result b1 = solve(m, all_vars(m), batch);
-    batch.num_threads = 8;
-    const Result b8 = solve(m, all_vars(m), batch);
+    util::ExecPolicy exec;
+    exec.num_threads = 1;
+    const Result b1 = solve(m, all_vars(m), batch, nullptr, nullptr, exec);
+    exec.num_threads = 8;
+    const Result b8 = solve(m, all_vars(m), batch, nullptr, nullptr, exec);
 
     ASSERT_EQ(b1.status, b8.status);
     EXPECT_EQ(b1.objective, b8.objective);

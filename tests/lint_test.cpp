@@ -1,5 +1,5 @@
 // Unit tests for mth::lint — per-rule inline fixtures (positive hit,
-// suppressed hit, clean), baseline round-trip, JSON output schema, and the
+// suppressed hit, clean), JSON output schema, and the
 // acceptance-criteria mutation check: inserting std::rand() into the real
 // src/rap/rap.cpp must produce a det-rand finding.
 
@@ -472,58 +472,6 @@ TEST(Scanner, DigitSeparatorsDoNotOpenCharLiterals) {
   EXPECT_EQ(f[0].line, 2);
 }
 
-// --- baseline round-trip --------------------------------------------------
-
-TEST(Baseline, RoundTripSuppressesAndDetectsStale) {
-  const std::string text = "int x = std::rand();\nstd::thread t;\n";
-  auto findings = run("src/rap/rap.cpp", text);
-  ASSERT_EQ(findings.size(), 2u);
-
-  const std::string json = lint::baseline_to_json(findings);
-  std::string error;
-  const auto keys = lint::parse_baseline(json, &error);
-  ASSERT_TRUE(keys.has_value()) << error;
-  ASSERT_EQ(keys->size(), 2u);
-
-  // Full suppression: nothing kept, nothing stale.
-  std::vector<std::string> stale;
-  auto kept = lint::apply_baseline(run("src/rap/rap.cpp", text), *keys,
-                                   &stale);
-  EXPECT_TRUE(kept.empty());
-  EXPECT_TRUE(stale.empty());
-
-  // After "fixing" the thread finding, its baseline entry goes stale.
-  stale.clear();
-  kept = lint::apply_baseline(run("src/rap/rap.cpp", "int x = std::rand();\n"),
-                              *keys, &stale);
-  EXPECT_TRUE(kept.empty());
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_NE(stale[0].find("det-thread"), std::string::npos);
-}
-
-TEST(Baseline, KeyIsLineDriftTolerant) {
-  const auto a = run("src/rap/rap.cpp", "int x = std::rand();\n");
-  const auto b = run("src/rap/rap.cpp", "\n\n\nint x = std::rand();\n");
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_NE(a[0].line, b[0].line);
-  EXPECT_EQ(lint::finding_key(a[0]), lint::finding_key(b[0]));
-}
-
-TEST(Baseline, MalformedInputIsRejected) {
-  std::string error;
-  EXPECT_FALSE(lint::parse_baseline("not json", &error).has_value());
-  EXPECT_FALSE(lint::parse_baseline("{\"version\": 2, \"suppressions\": []}",
-                                    &error)
-                   .has_value());
-  EXPECT_FALSE(
-      lint::parse_baseline(
-          "{\"version\": 1, \"suppressions\": [{\"rule\": \"no-such-rule\","
-          " \"file\": \"f\", \"snippet\": \"s\"}]}",
-          &error)
-          .has_value());
-}
-
 // --- JSON output schema ---------------------------------------------------
 
 TEST(JsonOutput, RoundTripPreservesEveryField) {
@@ -550,11 +498,14 @@ TEST(JsonOutput, SchemaViolationsAreRejected) {
                    .has_value());
   // total inconsistent with the findings array.
   EXPECT_FALSE(lint::parse_findings_json(
-                   "{\"version\": 1, \"total\": 3, \"findings\": []}", &error)
+                   "{\"version\": 2, \"total\": 3, \"counts\": {},"
+                   " \"findings\": []}",
+                   &error)
                    .has_value());
   // Finding missing required fields.
   EXPECT_FALSE(lint::parse_findings_json(
-                   "{\"version\": 1, \"total\": 1, \"findings\":"
+                   "{\"version\": 2, \"total\": 1, \"counts\":"
+                   " {\"det-rand\": 1}, \"findings\":"
                    " [{\"rule\": \"det-rand\"}]}",
                    &error)
                    .has_value());
@@ -874,15 +825,14 @@ TEST(JsonOutput, V2EmitsCountsAndModule) {
   EXPECT_EQ(parsed->size(), 2u);
 }
 
-TEST(JsonOutput, V1IsStillAccepted) {
+TEST(JsonOutput, V1IsRejected) {
   const std::string v1 =
       "{\"version\": 1, \"total\": 1, \"findings\": [{\"rule\": "
       "\"det-rand\", \"file\": \"a.cpp\", \"line\": 4, \"message\": \"m\", "
       "\"snippet\": \"s\"}]}";
   std::string error;
-  const auto parsed = lint::parse_findings_json(v1, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->at(0).rule, Rule::DetRand);
+  EXPECT_FALSE(lint::parse_findings_json(v1, &error).has_value());
+  EXPECT_NE(error.find("version"), std::string::npos);
 }
 
 TEST(JsonOutput, InconsistentV2CountsAreRejected) {

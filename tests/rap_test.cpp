@@ -11,6 +11,7 @@
 #include "mth/rap/fence.hpp"
 #include "mth/rap/rap.hpp"
 #include "mth/rap/rclegal.hpp"
+#include "mth/trace/collector.hpp"
 
 namespace mth::rap {
 namespace {
@@ -455,7 +456,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, RapSweep,
                          ::testing::Combine(::testing::Values(0.1, 0.2, 0.5),
                                             ::testing::Values(0.25, 0.75)));
 
-// --- sharded solve (solve_rap_sharded) ---------------------------------------
+// --- sharded solve (RapOptions::shards) --------------------------------------
 
 // Eq. 3/4/5 feasibility of a RapResult against the prepared case, shared by
 // the sharded-path tests below.
@@ -478,16 +479,48 @@ void expect_rap_feasible(const flows::PreparedCase& pc, const RapResult& r) {
   for (Dbu v : load) EXPECT_LE(v, cap);
 }
 
-TEST(RapShard, OneBandMatchesWholeDesignExactly) {
+// Everything a RapResult decides, compared exactly (bit-identical doubles).
+void expect_same_result(const RapResult& a, const RapResult& b) {
+  EXPECT_EQ(a.assignment.pair_is_minority, b.assignment.pair_is_minority);
+  EXPECT_EQ(a.cluster_pair, b.cluster_pair);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.gap, b.gap);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.ilp_nodes, b.ilp_nodes);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.num_x_vars, b.num_x_vars);
+  EXPECT_EQ(a.bands.size(), b.bands.size());
+}
+
+TEST(RapShard, OneBandIsTheWholeDesignSolve) {
   const auto& pc = small_case();
   RapOptions ro = base_options(pc);
   ro.shards = 1;
   const RapResult w = solve_rap(pc.initial, ro);
-  const RapResult s = solve_rap_sharded(pc.initial, ro);
-  EXPECT_TRUE(s.bands.empty());
-  EXPECT_EQ(s.assignment.pair_is_minority, w.assignment.pair_is_minority);
-  EXPECT_EQ(s.cluster_pair, w.cluster_pair);
-  EXPECT_EQ(s.objective, w.objective);  // bit-identical, not just close
+  EXPECT_TRUE(w.bands.empty());
+  EXPECT_EQ(w.repair_moves, 0);
+  ASSERT_NE(w.certificate, nullptr);  // whole-design dual certificate
+  EXPECT_GT(w.num_x_vars, 0);
+  EXPECT_LE(w.num_cand_rows, pc.initial.floorplan.num_pairs());
+}
+
+TEST(RapShard, InfeasibleSplitFallsBackToOneBandVisibly) {
+  // One pair per band: the per-band quota floors cannot fit N_minR, so the
+  // split is infeasible and the solve must be exactly the one-band solve,
+  // counted as rap/shard_fallback.
+  const auto& pc = small_case();
+  RapOptions ro = base_options(pc);
+  ro.shards = 1;
+  const RapResult w = solve_rap(pc.initial, ro);
+  ro.shards = pc.initial.floorplan.num_pairs();
+  trace::Collector collector;
+  ro.ctx.sink = &collector;
+  const RapResult f = solve_rap(pc.initial, ro);
+  EXPECT_TRUE(f.bands.empty());
+  ASSERT_EQ(collector.counters().count("rap/shard_fallback"), 1u);
+  EXPECT_EQ(collector.counters().at("rap/shard_fallback"), 1);
+  EXPECT_EQ(collector.counters().at("rap/bands"), ro.shards);
+  expect_same_result(f, w);
 }
 
 TEST(RapShard, BitIdenticalAcrossThreadCountsAndRepeats) {
@@ -496,10 +529,10 @@ TEST(RapShard, BitIdenticalAcrossThreadCountsAndRepeats) {
     RapOptions ro = base_options(pc);
     ro.shards = bands;
     ro.ctx.exec.num_threads = 1;
-    const RapResult a = solve_rap_sharded(pc.initial, ro);
-    const RapResult a2 = solve_rap_sharded(pc.initial, ro);
+    const RapResult a = solve_rap(pc.initial, ro);
+    const RapResult a2 = solve_rap(pc.initial, ro);
     ro.ctx.exec.num_threads = 8;
-    const RapResult b = solve_rap_sharded(pc.initial, ro);
+    const RapResult b = solve_rap(pc.initial, ro);
     EXPECT_EQ(a.assignment.pair_is_minority, b.assignment.pair_is_minority)
         << "bands=" << bands;
     EXPECT_EQ(a.cluster_pair, b.cluster_pair) << "bands=" << bands;
@@ -517,7 +550,7 @@ TEST(RapShard, FeasibleAndNearWholeDesignAtEveryBandCount) {
   const RapResult w = solve_rap(pc.initial, ro);
   for (int bands : {2, 4, 8}) {
     ro.shards = bands;
-    const RapResult s = solve_rap_sharded(pc.initial, ro);
+    const RapResult s = solve_rap(pc.initial, ro);
     expect_rap_feasible(pc, s);
     if (!s.bands.empty()) {
       // Decomposition record covers the whole floorplan and quota exactly.

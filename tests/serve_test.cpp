@@ -145,18 +145,20 @@ TEST(Serve, MalformedAndInvalidEnvelopes) {
   EXPECT_EQ(server.accepted(), 1);
 }
 
-TEST(Serve, LegacyReproCardAccepted) {
+TEST(Serve, LegacyReproCardRejected) {
+  // The pre-ser ad-hoc card (no envelope) gets a typed error at admission.
   Server server({});
   const auto r = server.submit(
       "{\"testcase\": \"aes_300\", \"iteration\": 3, \"seed_base\": 1, "
       "\"generator_seed\": 7, \"target_cells\": 120, \"scale\": 0.05, "
       "\"findings\": [\"x\"]}");
-  EXPECT_EQ(r, std::nullopt);
-  const std::vector<std::string> out = server.drain();
-  ASSERT_EQ(out.size(), 1u);
-  const ser::Value v = parse_response(out[0]);
-  EXPECT_EQ(v.get("status").as_string(), "ok");
-  EXPECT_EQ(v.get("id").as_string(), "aes_300#3");
+  ASSERT_TRUE(r.has_value());
+  const ser::Value v = parse_response(*r);
+  EXPECT_EQ(v.get("status").as_string(), "error");
+  EXPECT_NE(v.get("error").as_string().find("mth_ser_version"),
+            std::string::npos);
+  EXPECT_EQ(server.accepted(), 0);
+  EXPECT_TRUE(server.drain().empty());
 }
 
 TEST(Serve, EcoBaseHotStartsFromPriorJob) {

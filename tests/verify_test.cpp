@@ -272,7 +272,7 @@ rap::RapOptions sharded_options() {
 /// Shared sharded solve (solved once; tests mutate copies).
 const rap::RapResult& sharded_solved() {
   static const rap::RapResult r =
-      rap::solve_rap_sharded(small_case().initial, sharded_options());
+      rap::solve_rap(small_case().initial, sharded_options());
   return r;
 }
 

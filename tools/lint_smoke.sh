@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis gate: runs mth_lint over the repository with the checked-in
-# suppression baseline, span registry and module-layering DAG, and writes the
-# JSON + SARIF diagnostics artifacts (uploaded by CI — the SARIF feeds GitHub
-# code scanning for inline PR annotations). Fails on any unbaselined finding,
-# stale baseline entry, stale registry entry, layering violation or include
-# cycle, and schema-checks the v2 JSON artifact when python3 is available.
+# span registry and module-layering DAG, and writes the JSON + SARIF
+# diagnostics artifacts (uploaded by CI — the SARIF feeds GitHub code
+# scanning for inline PR annotations). Fails on any finding, stale registry
+# entry, layering violation or include cycle, and schema-checks the v2 JSON
+# artifact when python3 is available.
 #
 # Usage: tools/lint_smoke.sh [build-dir] [json-out] [sarif-out]
 set -euo pipefail
@@ -23,16 +23,14 @@ fi
 
 echo "[lint-smoke] $BIN --root $ROOT"
 if "$BIN" --root "$ROOT" \
-    --baseline "$ROOT/tools/lint_baseline.json" \
     --registry "$ROOT/tools/trace_spans.json" \
     --layers "$ROOT/tools/lint_layers.json" \
     --json "$OUT" \
     --sarif "$SARIF"; then
   echo "[lint-smoke] OK (artifacts: $OUT, $SARIF)"
 else
-  echo "[lint-smoke] FAILED: unbaselined findings (see $OUT); either fix" >&2
-  echo "[lint-smoke] them or justify with an inline 'mth-lint: allow(...)'" >&2
-  echo "[lint-smoke] comment / tools/mth_lint --update-baseline" >&2
+  echo "[lint-smoke] FAILED: findings (see $OUT); either fix them or" >&2
+  echo "[lint-smoke] justify with an inline 'mth-lint: allow(...)' comment" >&2
   exit 1
 fi
 

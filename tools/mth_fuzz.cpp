@@ -16,7 +16,7 @@
 //      agree with A within the MTH_SPARSE_GAP window when both are Optimal
 //   D  sparse,                     cold simplex, 1 thread  — warm vs cold:
 //      objectives within twice the ILP gap tolerance when both are Optimal
-//   E  sharded (solve_rap_sharded, band count derived from the scenario
+//   E  sharded (RapOptions::shards, band count derived from the scenario
 //      seed or fixed with --shard-bands), 1 thread — objective within the
 //      decomposition window of A and never below A's proven optimum beyond
 //      the gap tolerance; certified through the per-band aggregation path
@@ -260,8 +260,8 @@ void run_iteration(const Scenario& sc, double sparse_gap_window,
         shard_bands > 0 ? shard_bands : 2 + static_cast<int>(sc.seed % 3);
     rap::RapOptions ro_f = ro_e;
     ro_f.ctx.exec.num_threads = 8;
-    const rap::RapResult rr_e = rap::solve_rap_sharded(pc.initial, ro_e);
-    const rap::RapResult rr_f = rap::solve_rap_sharded(pc.initial, ro_f);
+    const rap::RapResult rr_e = rap::solve_rap(pc.initial, ro_e);
+    const rap::RapResult rr_f = rap::solve_rap(pc.initial, ro_f);
     if (!results_identical(rr_e, rr_f, &why)) {
       finding("sharded threads 1 vs 8: " + why);
     }

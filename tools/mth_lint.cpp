@@ -1,17 +1,15 @@
-// mth_lint — tree walker + baseline/registry/layers plumbing around
-// mth::lint.
+// mth_lint — tree walker + registry/layers plumbing around mth::lint.
 //
-//   mth_lint --root . --baseline tools/lint_baseline.json
-//            --registry tools/trace_spans.json
+//   mth_lint --root . --registry tools/trace_spans.json
 //            --layers tools/lint_layers.json
 //            [--json out.json] [--sarif out.sarif] [paths...]
 //
 // With no explicit paths, lints every .cpp/.hpp/.h under src/, tools/,
 // tests/, bench/ and examples/ (sorted, so output order is deterministic).
-// Exit status: 0 clean, 1 findings (or stale baseline/registry entries),
-// 2 usage or I/O error.
+// Exit status: 0 clean, 1 findings (stale registry entries included),
+// 2 usage or I/O error. Findings are suppressed only inline
+// (`// mth-lint: allow(rule): why`).
 //
-//   --update-baseline   rewrite the baseline to suppress current findings
 //   --update-registry   rewrite the span registry from the tree's literals
 //   --layers FILE       check include edges against the declared module DAG
 //                       (layer-violation) and the include graph for cycles
@@ -41,10 +39,8 @@ struct Args {
   std::string root = ".";
   std::string json_out;
   std::string sarif_out;
-  std::string baseline_path;
   std::string registry_path;
   std::string layers_path;
-  bool update_baseline = false;
   bool update_registry = false;
   bool layers_only = false;
   std::vector<std::string> paths;
@@ -52,10 +48,10 @@ struct Args {
 
 int usage(const char* msg) {
   if (msg != nullptr) std::cerr << "mth_lint: " << msg << "\n";
-  std::cerr << "usage: mth_lint [--root DIR] [--baseline FILE]"
-               " [--registry FILE] [--layers FILE]\n"
+  std::cerr << "usage: mth_lint [--root DIR] [--registry FILE]"
+               " [--layers FILE]\n"
                "                [--json FILE] [--sarif FILE]"
-               " [--update-baseline] [--update-registry]\n"
+               " [--update-registry]\n"
                "                [--layers-only] [paths...]\n";
   return 2;
 }
@@ -117,14 +113,10 @@ int main(int argc, char** argv) {
       if (!value(args.json_out)) return usage("--json needs a value");
     } else if (a == "--sarif") {
       if (!value(args.sarif_out)) return usage("--sarif needs a value");
-    } else if (a == "--baseline") {
-      if (!value(args.baseline_path)) return usage("--baseline needs a value");
     } else if (a == "--registry") {
       if (!value(args.registry_path)) return usage("--registry needs a value");
     } else if (a == "--layers") {
       if (!value(args.layers_path)) return usage("--layers needs a value");
-    } else if (a == "--update-baseline") {
-      args.update_baseline = true;
     } else if (a == "--update-registry") {
       args.update_registry = true;
     } else if (a == "--layers-only") {
@@ -262,40 +254,6 @@ int main(int argc, char** argv) {
     report_stale(options.registry.counters, used_counters, "counter");
   }
 
-  if (args.update_baseline) {
-    if (args.baseline_path.empty()) {
-      return usage("--update-baseline needs --baseline FILE");
-    }
-    if (!write_file(args.baseline_path,
-                    mth::lint::baseline_to_json(findings))) {
-      std::cerr << "mth_lint: cannot write " << args.baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "mth_lint: wrote " << args.baseline_path << " ("
-              << findings.size() << " suppressions)\n";
-    return 0;
-  }
-
-  std::vector<std::string> stale_baseline;
-  if (!args.baseline_path.empty()) {
-    std::string text;
-    if (!read_file(args.baseline_path, text)) {
-      std::cerr << "mth_lint: cannot read baseline " << args.baseline_path
-                << "\n";
-      return 2;
-    }
-    std::string error;
-    const auto keys = mth::lint::parse_baseline(text, &error);
-    if (!keys) {
-      std::cerr << "mth_lint: bad baseline " << args.baseline_path << ": "
-                << error << "\n";
-      return 2;
-    }
-    findings = mth::lint::apply_baseline(
-        std::move(findings), *keys,
-        args.paths.empty() ? &stale_baseline : nullptr);
-  }
-
   if (!args.json_out.empty()) {
     if (!write_file(args.json_out, mth::lint::findings_to_json(findings))) {
       std::cerr << "mth_lint: cannot write " << args.json_out << "\n";
@@ -315,21 +273,7 @@ int main(int argc, char** argv) {
               << mth::lint::to_string(f.rule) << "] " << f.message << "\n";
     if (!f.snippet.empty()) std::cerr << "    " << f.snippet << "\n";
   }
-  for (const std::string& key : stale_baseline) {
-    std::string pretty = key;
-    for (char& c : pretty) {
-      if (c == '\x1f') c = ' ';
-    }
-    std::cerr << args.baseline_path << ":0: stale baseline entry (" << pretty
-              << "); run mth_lint --update-baseline\n";
-  }
-
-  const std::size_t problems = findings.size() + stale_baseline.size();
   std::cout << "mth_lint: " << files.size() << " files, " << findings.size()
-            << " findings";
-  if (!stale_baseline.empty()) {
-    std::cout << ", " << stale_baseline.size() << " stale baseline entries";
-  }
-  std::cout << (problems == 0 ? " — clean\n" : "\n");
-  return problems == 0 ? 0 : 1;
+            << " findings" << (findings.empty() ? " — clean\n" : "\n");
+  return findings.empty() ? 0 : 1;
 }
