@@ -1,9 +1,10 @@
 #pragma once
 // Bounded-variable revised simplex.
 //
-// Two-phase method with explicit artificial variables (big-M-free), dense LU
-// basis factorization with product-form (eta) updates, Dantzig pricing with
-// a Bland's-rule anti-cycling fallback. Designed for the RAP ILP relaxations
+// Two-phase method with explicit artificial variables (big-M-free), sparse LU
+// basis factorization (detail::SparseLu, bit-identical to dense partial
+// pivoting) with product-form (eta) updates, Dantzig pricing with a Bland's-
+// rule anti-cycling fallback. Designed for the RAP ILP relaxations
 // (a few hundred rows, 10^3-10^5 very sparse columns) as the drop-in
 // replacement for CPLEX's LP core (DESIGN.md §2).
 //

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "mth/lp/sparse_lu.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
 #include "mth/util/log.hpp"
@@ -22,100 +23,6 @@ const char* to_string(Status s) {
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Dense LU with partial pivoting (PA = LU), used to factorize the basis.
-// ---------------------------------------------------------------------------
-class DenseLu {
- public:
-  /// Factorize an n x n row-major matrix in place. Returns false if singular.
-  bool factorize(std::vector<double> a, int n, double tol) {
-    n_ = n;
-    a_ = std::move(a);
-    perm_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) perm_[static_cast<std::size_t>(i)] = i;
-    for (int k = 0; k < n; ++k) {
-      // Partial pivot: largest |a[i][k]| for i >= k.
-      int piv = k;
-      double best = std::abs(at(k, k));
-      for (int i = k + 1; i < n; ++i) {
-        const double v = std::abs(at(i, k));
-        if (v > best) {
-          best = v;
-          piv = i;
-        }
-      }
-      if (best <= tol) return false;
-      if (piv != k) {
-        for (int j = 0; j < n; ++j) std::swap(at(k, j), at(piv, j));
-        std::swap(perm_[static_cast<std::size_t>(k)],
-                  perm_[static_cast<std::size_t>(piv)]);
-      }
-      const double inv = 1.0 / at(k, k);
-      for (int i = k + 1; i < n; ++i) {
-        const double l = at(i, k) * inv;
-        at(i, k) = l;
-        if (l != 0.0) {
-          for (int j = k + 1; j < n; ++j) at(i, j) -= l * at(k, j);
-        }
-      }
-    }
-    return true;
-  }
-
-  /// b := A^{-1} b.
-  void solve(std::vector<double>& b) const {
-    scratch_.resize(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) {
-      scratch_[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-    }
-    // Forward: L y = Pb (L unit lower triangular).
-    for (int i = 1; i < n_; ++i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = 0; j < i; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s;
-    }
-    // Backward: U x = y.
-    for (int i = n_ - 1; i >= 0; --i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = i + 1; j < n_; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
-    }
-    b = scratch_;
-  }
-
-  /// b := A^{-T} b.  (A^T = U^T L^T P  =>  y = P^T (L^T \ (U^T \ b))).
-  void solve_transpose(std::vector<double>& b) const {
-    scratch_ = b;
-    // U^T y = b (forward, U^T lower triangular).
-    for (int i = 0; i < n_; ++i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = 0; j < i; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
-    }
-    // L^T z = y (backward, unit diagonal).
-    for (int i = n_ - 1; i >= 0; --i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = i + 1; j < n_; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s;
-    }
-    // Undo permutation: x = P^T z.
-    for (int i = 0; i < n_; ++i) {
-      b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
-          scratch_[static_cast<std::size_t>(i)];
-    }
-  }
-
- private:
-  double& at(int i, int j) { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
-  double at(int i, int j) const { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
-
-  int n_ = 0;
-  std::vector<double> a_;
-  std::vector<int> perm_;
-  mutable std::vector<double> scratch_;
-};
 
 // Product-form update: new basis = old * E, where E is identity with column
 // `pivot_row` replaced by `col` (the FTRAN'd entering column).
@@ -144,19 +51,22 @@ class Simplex {
     Result res;
     if (m_ == 0) return solve_trivial();
 
-    Status st;
-    if (warm_ != nullptr && !warm_->empty() && load_warm_basis()) {
+    Status st = Status::IterLimit;
+    const bool offered = warm_ != nullptr && !warm_->empty();
+    if (offered && load_warm_basis()) {
       res.warm_used = true;
       phase1_ = false;
       st = reoptimize();
-      if (st == kNeedsRebuild || st == kWarmFail) {
+      if (st == kNeedsRebuild || st == kWarmFail) res.warm_used = false;
+    }
+    if (!res.warm_used) {
+      if (offered) {
         MTH_DEBUG << "simplex: warm basis abandoned — cold restart";
-        res.warm_used = false;
-        st = cold_solve();
+        MTH_COUNT("lp/cold_fallback", 1);
       }
-    } else {
       st = cold_solve();
     }
+    MTH_COUNT("lp/refactors", refactors_);
 
     res.status = st;
     res.iterations = iterations_;
@@ -434,15 +344,18 @@ class Simplex {
   /// Returns false when the basis matrix is numerically singular (the caller
   /// then repairs the basis instead of aborting).
   bool refactorize() {
-    std::vector<double> dense(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_), 0.0);
+    basis_cols_.ptr.assign(1, 0);
+    basis_cols_.idx.clear();
+    basis_cols_.val.clear();
     for (int i = 0; i < m_; ++i) {
-      const int j = basic_[static_cast<std::size_t>(i)];
-      for_col(j, [&](int row, double coef) {
-        dense[static_cast<std::size_t>(row) * static_cast<std::size_t>(m_) +
-              static_cast<std::size_t>(i)] = coef;
+      for_col(basic_[static_cast<std::size_t>(i)], [&](int row, double coef) {
+        basis_cols_.idx.push_back(row);
+        basis_cols_.val.push_back(coef);
       });
+      basis_cols_.ptr.push_back(static_cast<int>(basis_cols_.idx.size()));
     }
-    if (!lu_.factorize(std::move(dense), m_, 1e-11)) return false;
+    ++refactors_;
+    if (!lu_.factorize(basis_cols_, 1e-11)) return false;
     etas_.clear();
     recompute_basic_values();
     return true;
@@ -829,11 +742,13 @@ class Simplex {
   std::vector<double> lb_, ub_, rhs_, value_, art_sign_;
   std::vector<BasisState> state_;
   std::vector<int> basic_;
-  DenseLu lu_;
+  SparseView basis_cols_;  // basic columns in basis order, reused per refactor
+  detail::SparseLu lu_;
   std::vector<Eta> etas_;
   bool phase1_ = true;
   int iterations_ = 0;
   int dual_iterations_ = 0;
+  int refactors_ = 0;
 };
 
 }  // namespace

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "mth/lp/model.hpp"
 #include "mth/lp/simplex.hpp"
+#include "mth/lp/sparse_lu.hpp"
 #include "mth/util/rng.hpp"
 
 namespace mth::lp {
@@ -235,6 +239,37 @@ TEST(SimplexWarm, StaleBasisFallsBackToColdSolve) {
   ASSERT_EQ(r.status, Status::Optimal);
   EXPECT_FALSE(r.warm_used);
   EXPECT_EQ(r.objective, -7.0);
+}
+
+TEST(SimplexWarm, SingularWarmBasisFallsBackCold) {
+  // x and y have identical columns, so a basis holding both is singular:
+  // the warm start is refused at factorization and the solve runs cold.
+  Model m;
+  const int x = m.add_var(0, 3, -1.0);
+  const int y = m.add_var(0, 3, -2.0);
+  const int z = m.add_var(0, 2, -1.5);
+  m.add_row(Sense::LE, 4.0, {{x, 1.0}, {y, 1.0}, {z, 1.0}});
+  m.add_row(Sense::LE, 5.0, {{x, 2.0}, {y, 2.0}, {z, 0.5}});
+  Basis singular;
+  singular.num_structs = 3;
+  singular.basic = {x, y};
+  singular.state = {BasisState::Basic, BasisState::Basic, BasisState::AtLower,
+                    BasisState::AtLower, BasisState::AtLower};
+  const Result warm = solve(m, {}, &singular);
+  const Result cold = solve(m);
+  ASSERT_EQ(cold.status, Status::Optimal);
+  EXPECT_FALSE(warm.warm_used);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.iterations, cold.iterations);
+  EXPECT_EQ(std::memcmp(&warm.objective, &cold.objective, sizeof(double)), 0);
+  ASSERT_EQ(warm.x.size(), cold.x.size());
+  ASSERT_EQ(warm.duals.size(), cold.duals.size());
+  EXPECT_EQ(std::memcmp(warm.x.data(), cold.x.data(), warm.x.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(warm.duals.data(), cold.duals.data(),
+                        warm.duals.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(warm.basis.basic, cold.basis.basic);
+  EXPECT_EQ(warm.basis.state, cold.basis.state);
 }
 
 TEST(SimplexWarm, WarmResolveWithoutChangesIsInstant) {
@@ -508,6 +543,295 @@ TEST(DualCertificate, NoisyDualsStayValidLowerBound) {
     for (double& d : noisy.duals) d += rng.uniform_real(-0.5, 0.5);
     EXPECT_LE(dual_bound(m, noisy), r.objective + 1e-9) << "trial " << trial;
   }
+}
+
+// ---------------------------------------------------------------------------
+// detail::SparseLu against the dense LU it replaced: same pivots, same
+// rounding, so every solve must match the reference bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Reference: dense LU with partial pivoting (PA = LU) on a row-major matrix.
+class DenseLu {
+ public:
+  bool factorize(std::vector<double> a, int n, double tol) {
+    n_ = n;
+    a_ = std::move(a);
+    perm_.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) perm_[static_cast<std::size_t>(i)] = i;
+    for (int k = 0; k < n; ++k) {
+      int piv = k;
+      double best = std::abs(at(k, k));
+      for (int i = k + 1; i < n; ++i) {
+        const double v = std::abs(at(i, k));
+        if (v > best) {
+          best = v;
+          piv = i;
+        }
+      }
+      if (best <= tol) return false;
+      if (piv != k) {
+        for (int j = 0; j < n; ++j) std::swap(at(k, j), at(piv, j));
+        std::swap(perm_[static_cast<std::size_t>(k)],
+                  perm_[static_cast<std::size_t>(piv)]);
+      }
+      const double inv = 1.0 / at(k, k);
+      for (int i = k + 1; i < n; ++i) {
+        const double l = at(i, k) * inv;
+        at(i, k) = l;
+        if (l != 0.0) {
+          for (int j = k + 1; j < n; ++j) at(i, j) -= l * at(k, j);
+        }
+      }
+    }
+    return true;
+  }
+
+  void solve(std::vector<double>& b) const {
+    std::vector<double> x(static_cast<std::size_t>(n_));
+    for (int i = 0; i < n_; ++i) {
+      x[static_cast<std::size_t>(i)] =
+          b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
+    }
+    for (int i = 1; i < n_; ++i) {
+      double s = x[static_cast<std::size_t>(i)];
+      for (int j = 0; j < i; ++j) s -= at(i, j) * x[static_cast<std::size_t>(j)];
+      x[static_cast<std::size_t>(i)] = s;
+    }
+    for (int i = n_ - 1; i >= 0; --i) {
+      double s = x[static_cast<std::size_t>(i)];
+      for (int j = i + 1; j < n_; ++j) s -= at(i, j) * x[static_cast<std::size_t>(j)];
+      x[static_cast<std::size_t>(i)] = s / at(i, i);
+    }
+    b = x;
+  }
+
+  void solve_transpose(std::vector<double>& b) const {
+    std::vector<double> x = b;
+    for (int i = 0; i < n_; ++i) {
+      double s = x[static_cast<std::size_t>(i)];
+      for (int j = 0; j < i; ++j) s -= at(j, i) * x[static_cast<std::size_t>(j)];
+      x[static_cast<std::size_t>(i)] = s / at(i, i);
+    }
+    for (int i = n_ - 1; i >= 0; --i) {
+      double s = x[static_cast<std::size_t>(i)];
+      for (int j = i + 1; j < n_; ++j) s -= at(j, i) * x[static_cast<std::size_t>(j)];
+      x[static_cast<std::size_t>(i)] = s;
+    }
+    for (int i = 0; i < n_; ++i) {
+      b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
+          x[static_cast<std::size_t>(i)];
+    }
+  }
+
+ private:
+  double& at(int i, int j) {
+    return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
+              static_cast<std::size_t>(j)];
+  }
+  double at(int i, int j) const {
+    return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
+              static_cast<std::size_t>(j)];
+  }
+
+  int n_ = 0;
+  std::vector<double> a_;
+  std::vector<int> perm_;
+};
+
+/// Row-major n x n matrix, the form both factorizations are fed from.
+struct DenseMatrix {
+  int n = 0;
+  std::vector<double> a;
+  double& operator()(int i, int j) {
+    return a[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
+             static_cast<std::size_t>(j)];
+  }
+};
+
+DenseMatrix zeros(int n) {
+  return {n, std::vector<double>(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0)};
+}
+
+SparseView columns_of(const DenseMatrix& m) {
+  SparseView v;
+  v.ptr.push_back(0);
+  for (int j = 0; j < m.n; ++j) {
+    for (int i = 0; i < m.n; ++i) {
+      const double c = m.a[static_cast<std::size_t>(i) * static_cast<std::size_t>(m.n) +
+                           static_cast<std::size_t>(j)];
+      if (c != 0.0) {
+        v.idx.push_back(i);
+        v.val.push_back(c);
+      }
+    }
+    v.ptr.push_back(static_cast<int>(v.idx.size()));
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Right-hand sides that exercise the sign-of-zero corner cases too: unit
+/// vectors (a B^{-1} row), sparse vectors with -0 entries, dense vectors.
+std::vector<std::vector<double>> rhs_set(int n, Rng& rng) {
+  std::vector<std::vector<double>> out;
+  for (int p : {0, n / 2, n - 1}) {
+    std::vector<double> e(static_cast<std::size_t>(n), 0.0);
+    e[static_cast<std::size_t>(p)] = 1.0;
+    out.push_back(e);
+  }
+  for (int t = 0; t < 4; ++t) {
+    std::vector<double> b(static_cast<std::size_t>(n), 0.0);
+    for (double& v : b) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 5));
+      if (kind == 0) v = -0.0;
+      if (kind == 1) v = static_cast<double>(rng.uniform_int(-2, 2));
+      if (kind == 2) v = rng.uniform_real(-5.0, 5.0);
+    }
+    out.push_back(b);
+  }
+  std::vector<double> dense(static_cast<std::size_t>(n));
+  for (double& v : dense) v = rng.uniform_real(-1.0, 1.0);
+  out.push_back(dense);
+  return out;
+}
+
+/// Factorizes `m` both ways and compares every solve bit for bit. Returns
+/// whether the matrix was nonsingular.
+bool expect_same_as_dense(const DenseMatrix& m, Rng& rng) {
+  DenseLu ref;
+  detail::SparseLu lu;
+  const bool ok = ref.factorize(m.a, m.n, 1e-11);
+  EXPECT_EQ(lu.factorize(columns_of(m), 1e-11), ok);
+  if (!ok) return false;
+  for (const std::vector<double>& b : rhs_set(m.n, rng)) {
+    std::vector<double> want = b, got = b;
+    ref.solve(want);
+    lu.solve(got);
+    EXPECT_TRUE(same_bits(want, got)) << "solve, n=" << m.n;
+    want = b;
+    got = b;
+    ref.solve_transpose(want);
+    lu.solve_transpose(got);
+    EXPECT_TRUE(same_bits(want, got)) << "solve_transpose, n=" << m.n;
+  }
+  return true;
+}
+
+/// A basis like the RAP ones: mostly slack (unit) columns, the rest
+/// x-columns with 2-3 nonzeros of small integer or real coefficients.
+DenseMatrix slack_heavy(int n, Rng& rng) {
+  DenseMatrix m = zeros(n);
+  std::vector<int> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
+  rng.shuffle(rows);
+  for (int j = 0; j < n; ++j) {
+    if (rng.chance(0.6)) {
+      m(rows[static_cast<std::size_t>(j)], j) = 1.0;
+      continue;
+    }
+    const int nnz = static_cast<int>(rng.uniform_int(2, 3));
+    for (int t = 0; t < nnz; ++t) {
+      const int i = static_cast<int>(rng.uniform_int(0, n - 1));
+      m(i, j) = rng.chance(0.5) ? static_cast<double>(rng.uniform_int(1, 4))
+                                : rng.uniform_real(-3.0, 3.0);
+    }
+  }
+  return m;
+}
+
+TEST(SparseLu, SlackHeavyBasesMatchDenseBitForBit) {
+  Rng rng(1313u);
+  int nonsingular = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    nonsingular += expect_same_as_dense(slack_heavy(n, rng), rng) ? 1 : 0;
+  }
+  EXPECT_GE(nonsingular, 10);
+}
+
+TEST(SparseLu, RowSwapsMatchDense) {
+  // Small diagonal, larger off-diagonal entries: most steps pivot away from
+  // the current position.
+  Rng rng(77u);
+  int nonsingular = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 30));
+    DenseMatrix m = zeros(n);
+    for (int j = 0; j < n; ++j) {
+      m(j, j) = rng.uniform_real(0.01, 0.1);
+      for (int t = 0; t < 3; ++t) {
+        m(static_cast<int>(rng.uniform_int(0, n - 1)), j) = rng.uniform_real(-9.0, 9.0);
+      }
+    }
+    nonsingular += expect_same_as_dense(m, rng) ? 1 : 0;
+  }
+  EXPECT_GE(nonsingular, 30);
+}
+
+TEST(SparseLu, TiedPivotMagnitudesMatchDense) {
+  // Entries from {-2, -1, 1, 2}: equal |a(i,k)| candidates at every step,
+  // and exact cancellations that leave signed zeros in the solves.
+  Rng rng(4242u);
+  int nonsingular = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 25));
+    DenseMatrix m = zeros(n);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        if (i == j || rng.chance(0.2)) {
+          const double mag = rng.chance(0.5) ? 1.0 : 2.0;
+          m(i, j) = rng.chance(0.5) ? mag : -mag;
+        }
+      }
+    }
+    nonsingular += expect_same_as_dense(m, rng) ? 1 : 0;
+  }
+  EXPECT_GE(nonsingular, 40);
+}
+
+TEST(SparseLu, FillInMatchesDense) {
+  // Arrowhead with the dense row/column first: eliminating column 0 fills
+  // the whole trailing block.
+  Rng rng(99u);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(3, 30));
+    DenseMatrix m = zeros(n);
+    for (int i = 0; i < n; ++i) {
+      m(i, 0) = rng.uniform_real(0.5, 2.0);
+      m(0, i) = rng.uniform_real(-2.0, 2.0);
+      m(i, i) = rng.uniform_real(1.0, 3.0) * (rng.chance(0.5) ? 1.0 : -1.0);
+    }
+    m(0, 0) = 5.0;
+    EXPECT_TRUE(expect_same_as_dense(m, rng)) << "trial " << trial;
+  }
+}
+
+TEST(SparseLu, RejectsSingularBases) {
+  Rng rng(5u);
+  // Numerically singular: column 2 is 3 * column 0.
+  DenseMatrix numeric = zeros(3);
+  numeric(0, 0) = 1.0;
+  numeric(1, 0) = 2.0;
+  numeric(2, 0) = 3.0;
+  numeric(0, 1) = 1.0;
+  numeric(2, 1) = -1.0;
+  for (int i = 0; i < 3; ++i) numeric(i, 2) = 3.0 * numeric(i, 0);
+  EXPECT_FALSE(expect_same_as_dense(numeric, rng));
+
+  // Structurally singular: an empty column.
+  DenseMatrix empty = zeros(4);
+  for (int i = 0; i < 4; ++i) empty(i, i) = 1.0;
+  empty(2, 2) = 0.0;
+  EXPECT_FALSE(expect_same_as_dense(empty, rng));
+
+  // Duplicate columns (the same variable basic twice).
+  DenseMatrix dup = slack_heavy(12, rng);
+  for (int i = 0; i < 12; ++i) dup(i, 7) = dup(i, 3);
+  EXPECT_FALSE(expect_same_as_dense(dup, rng));
 }
 
 }  // namespace

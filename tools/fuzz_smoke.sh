@@ -7,9 +7,10 @@
 # legalizers with the placement oracle. Any finding exits nonzero and leaves
 # a minimized DEF + JSON repro under the scratch dir (printed on failure).
 #
-# A second (skippable) leg compiles the verify + rap test suites under
-# AddressSanitizer in a side build directory and runs them, so memory bugs
-# in the oracle/certifier/solver paths cannot hide behind green asserts.
+# A second (skippable) leg compiles the verify, rap, lp and ilp test suites
+# under AddressSanitizer in a side build directory and runs them, so memory
+# bugs in the oracle/certifier/solver paths (the index-heavy sparse LU
+# included) cannot hide behind green asserts.
 #
 # Usage: tools/fuzz_smoke.sh [build-dir]
 # Env:   MTH_FUZZ_ITERS  fuzz iterations          (default 50)
@@ -56,14 +57,14 @@ fi
 
 if [[ "$MTH_FUZZ_ASAN" != "0" ]]; then
   ASAN_DIR="$SRC_DIR/build-asan"
-  echo "[fuzz-smoke] ASan build of verify_test + rap_test in $ASAN_DIR"
+  echo "[fuzz-smoke] ASan build of verify_test, rap_test, lp_test, ilp_test in $ASAN_DIR"
   cmake -B "$ASAN_DIR" -S "$SRC_DIR" -DMTH_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$TMP/asan-cmake.log" 2>&1 \
     || { cat "$TMP/asan-cmake.log" >&2; exit 1; }
-  cmake --build "$ASAN_DIR" --target verify_test rap_test \
+  cmake --build "$ASAN_DIR" --target verify_test rap_test lp_test ilp_test \
     -j "$(nproc)" > "$TMP/asan-build.log" 2>&1 \
     || { tail -50 "$TMP/asan-build.log" >&2; exit 1; }
-  for t in verify_test rap_test; do
+  for t in verify_test rap_test lp_test ilp_test; do
     echo "[fuzz-smoke] ASan: $t"
     "$ASAN_DIR/tests/$t" > "$TMP/asan-$t.log" 2>&1 \
       || { tail -50 "$TMP/asan-$t.log" >&2; exit 1; }
