@@ -4,8 +4,10 @@
 //   whole      rap::solve_rap with shards = 1 — one monolithic branch &
 //              bound (baseline);
 //   sharded    rap::solve_rap with MTH_SHARDS bands (0 = auto-size)
-//              plus boundary-window repair, solved twice (1 thread, then
-//              MTH_THREADS workers) and checked bit-identical;
+//              plus boundary-window repair, timed on 1 thread under the
+//              ILP deadline, then solved twice more without a deadline and
+//              with a fixed node budget (1 thread, then MTH_THREADS
+//              workers) and checked bit-identical;
 //   batch-B&B  whole-design solve again with ilp.node_batch = MTH_NODE_BATCH
 //              so the deterministic batch-parallel node loop is exercised.
 // The sharded objective must stay within MTH_SHARD_GAP (default 0.15 — the
@@ -17,15 +19,17 @@
 // EXPERIMENTS run gates at 3). BENCH_shard.json is emitted (override with
 // MTH_SHARD_JSON); tools/perf_smoke.sh checks its schema at reduced scale.
 //
-// Why sharding wins wall-clock even on one core: the dense-LU LP
-// factorization behind every B&B node is cubic in the row count, so B band
-// subproblems of ~1/B the rows are far cheaper than one monolithic tree —
-// the speedup is algorithmic, not thread-count-dependent.
+// Why sharding wins wall-clock even on one core: branch & bound cost is
+// superlinear in the row count (more simplex pivots per node LP, more work
+// per pivot, more nodes), so B band subproblems of ~1/B the rows are far
+// cheaper than one monolithic tree — the speedup is algorithmic, not
+// thread-count-dependent.
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,13 @@
 #include "mth/verify/certifier.hpp"
 
 namespace {
+
+// B&B node budget of the 1-vs-N-thread identity pair, per band and per
+// repair ILP. A solve that stops at its wall-clock deadline returns a
+// time-dependent incumbent, so the pair runs deadline-free and stops here
+// instead. At about 25 ms per node on the largest default-scale case
+// (nova_500, one band) this keeps each solve to a few seconds.
+constexpr int kIdentityMaxNodes = 200;
 
 struct ShardRecord {
   std::string testcase;
@@ -55,7 +66,7 @@ struct ShardRecord {
   double speedup = 0.0;   ///< whole_s / shard_s
   double rel_dev = 0.0;   ///< (shard_obj - whole_obj)/max(|whole_obj|,1)
   bool dev_ok = true;
-  bool identical = false;  ///< sharded bit-identical across 1 vs N threads
+  bool identical = false;  ///< node-bounded sharded solve, 1 vs N threads
   bool certified = false;  ///< verify::certify_rap band aggregation passed
   double certified_gap = 0.0;
   long long whole_nodes = 0;
@@ -160,9 +171,14 @@ int main() {
     const rap::RapResult shard = rap::solve_rap(pc.initial, sro);
     const double shard_s = t_shard.seconds();
 
-    // Sharded again with the worker pool: must be bit-identical.
-    sro.ctx.exec.num_threads = threads;
-    const rap::RapResult shard_p = rap::solve_rap(pc.initial, sro);
+    // Identity pair: deadline-free and node-bounded, so both solves search
+    // the same tree; 1 thread vs the worker pool must be bit-identical.
+    rap::RapOptions dro = sro;
+    dro.ilp.time_limit_s = std::numeric_limits<double>::infinity();
+    dro.ilp.max_nodes = kIdentityMaxNodes;
+    const rap::RapResult det_1 = rap::solve_rap(pc.initial, dro);
+    dro.ctx.exec.num_threads = threads;
+    const rap::RapResult det_n = rap::solve_rap(pc.initial, dro);
 
     // Whole-design once more through the batch-parallel B&B node loop.
     rap::RapOptions bro = ro;
@@ -192,11 +208,11 @@ int main() {
     r.batch_s = batch_s;
     r.batch_speedup = bench::speedup(whole_s, batch_s);
     r.identical =
-        shard.assignment.pair_is_minority ==
-            shard_p.assignment.pair_is_minority &&
-        shard.cluster_pair == shard_p.cluster_pair &&
-        shard.objective == shard_p.objective &&
-        shard.repair_moves == shard_p.repair_moves;
+        det_1.assignment.pair_is_minority ==
+            det_n.assignment.pair_is_minority &&
+        det_1.cluster_pair == det_n.cluster_pair &&
+        det_1.objective == det_n.objective &&
+        det_1.repair_moves == det_n.repair_moves;
     if (!r.identical) {
       std::cerr << "[scaling] FAIL " << spec.short_name
                 << ": sharded result differs between 1 and " << threads

@@ -304,7 +304,6 @@ Result solve(lp::Model model, const std::vector<int>& integer_vars,
     }
   }
 
-  res.solve_seconds = timer.seconds();
   res.best_bound = exhausted && open.empty()
                        ? (have_incumbent ? incumbent : lp::kInf)
                        : open_bound();

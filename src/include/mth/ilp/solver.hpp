@@ -73,7 +73,6 @@ struct Result {
   int nodes = 0;
   int lp_iterations = 0;
   int basis_reuse_hits = 0;     ///< node LPs that accepted an inherited basis
-  double solve_seconds = 0.0;
   /// Dual certificate of the root relaxation (lp::solve row duals at the
   /// root node's optimum, over the model as handed in). Empty when the root
   /// LP never solved to optimality. An independent verifier can recompute

@@ -372,7 +372,6 @@ struct SubSolution : RapStats {
   double gap = 0.0;
   std::vector<int> cluster_pair;  ///< local cluster -> local pair
   std::vector<char> open;         ///< local pair -> opened as minority
-  double seconds = 0.0;
   std::shared_ptr<const RapCertificate> certificate;  ///< local indices
 };
 

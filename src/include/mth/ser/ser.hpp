@@ -1,12 +1,15 @@
 #pragma once
 // mth::ser — the versioned serialization layer (README "Serving").
 //
-// Canonical, schema-versioned (de)serialization for the types that cross
-// the process boundary: db::Design, flows::FlowOptions, rap::RapOptions,
-// rap::RapResult and rap::RapCertificate. This is the API seam the job
-// server (mth_serve / mth::serve) ships work across, modeled on the
+// Canonical, schema-versioned (de)serialization for the job surface that
+// crosses the process boundary: flows::FlowOptions (with its nested
+// rap::RapOptions) inside the `job` and `repro` envelopes that the job
+// server (mth_serve / mth::serve) and mth_fuzz exchange, plus the canonical
+// design and options hashes that key the serve result cache. Modeled on the
 // job-envelope pattern of distributed detailed routing (PAPERS.md:
-// OpenROAD FlexDR's RoutingJobDescription/serialize_worker).
+// OpenROAD FlexDR's RoutingJobDescription/serialize_worker). Designs travel
+// as a bundled testcase name or as LEF+DEF paths, and results stay in the
+// server's memory (an ECO job names its base by id), so neither has a codec.
 //
 // Format: JSON with two deliberate extensions — `inf` / `-inf` numeric
 // tokens (LP bounds are routinely infinite) and a distinguished integer
@@ -144,33 +147,12 @@ void reject_unknown_keys(const Value& v,
 // Codecs
 // ---------------------------------------------------------------------------
 
-/// Design <-> envelope kind "design". The netlist/floorplan body embeds the
-/// defio text (exact integer round-trip); the library is either a named
-/// reference to the built-in liberty library (electrical fields preserved)
-/// or an embedded LEF text (geometric/structural fields only — the
-/// io::write_lef contract).
-Value to_value(const Design& d);
-Design design_from_value(const Value& v);
-
 /// FlowOptions <-> envelope kind "flow_options". Covers the determinism-
 /// relevant surface: scale, utilization, aspect_ratio, verify, seed and the
-/// nested RapOptions + baseline fill; runtime policy is not serialized.
+/// baseline fill, plus the RapOptions nested under key "rap" as an envelope
+/// of kind "rap_options"; runtime policy is not serialized.
 Value to_value(const flows::FlowOptions& o);
 flows::FlowOptions flow_options_from_value(const Value& v);
-
-/// RapOptions <-> envelope kind "rap_options".
-Value to_value(const rap::RapOptions& o);
-rap::RapOptions rap_options_from_value(const Value& v);
-
-/// RapResult <-> envelope kind "rap_result" (bands and certificates
-/// included, so a served result can later seed an ECO re-solve).
-Value to_value(const rap::RapResult& r);
-rap::RapResult rap_result_from_value(const Value& v);
-
-/// RapCertificate <-> envelope kind "rap_certificate" (full lp::Model,
-/// duals, index maps and the root lp::Basis).
-Value to_value(const rap::RapCertificate& c);
-rap::RapCertificate certificate_from_value(const Value& v);
 
 // ---------------------------------------------------------------------------
 // Canonical hashing

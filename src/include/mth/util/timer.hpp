@@ -24,21 +24,4 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Accumulates named phase durations (e.g. RAP vs legalization split).
-class PhaseTimer {
- public:
-  /// RAII scope that adds its lifetime to `slot` on destruction.
-  class Scope {
-   public:
-    explicit Scope(double& slot) : slot_(slot) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { slot_ += timer_.seconds(); }
-
-   private:
-    double& slot_;
-    WallTimer timer_;
-  };
-};
-
 }  // namespace mth

@@ -426,7 +426,7 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
   WallTimer t_ilp;
   // Named span (not MTH_SPAN): the ILP section's locals (model, xvar, ...)
   // feed the certificate export below, so there is no natural brace scope to
-  // close at sol.seconds; the extraction tail it also covers is noise.
+  // close where the ILP ends; the extraction tail it also covers is noise.
   trace::Span ilp_span("rap/ilp");
 
   auto widen_cluster = [&](int c) {
@@ -573,8 +573,9 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
     have_basis = true;
   }
   {
-    // Cut budget: the dense-LU basis factorization costs O(m^3), so the row
-    // count must stay bounded; a few hundred of the most-violated cuts close
+    // Cut budget: every cut is a row in the root LP and in every B&B node LP,
+    // and each row adds pivots and basis-factor fill, so the row count must
+    // stay bounded; a few hundred of the most-violated cuts close
     // most of the gap (diminishing returns after that). The loop also shares
     // the ILP wall-clock budget — root strengthening may use at most half of
     // it, the remainder goes to branch & bound.
@@ -762,7 +763,6 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
             << "; widened all candidate windows, rebuilding";
   }  // candidate-window retry loop
 
-  sol.seconds = t_ilp.seconds();
   sol.status = ir.status;
   sol.objective = ir.objective;
   sol.best_bound = ir.best_bound;
@@ -811,7 +811,7 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
   }
   MTH_DEBUG << "rap: " << n_clusters << " clusters x " << nr << " pairs, N_minR="
             << n_min_pairs << ", ilp " << ilp::to_string(ir.status) << " obj "
-            << ir.objective << " nodes " << ir.nodes << " in " << sol.seconds
+            << ir.objective << " nodes " << ir.nodes << " in " << t_ilp.seconds()
             << "s";
   return sol;
 }

@@ -500,6 +500,8 @@ TEST(RapShard, OneBandIsTheWholeDesignSolve) {
   EXPECT_TRUE(w.bands.empty());
   EXPECT_EQ(w.repair_moves, 0);
   ASSERT_NE(w.certificate, nullptr);  // whole-design dual certificate
+  EXPECT_FALSE(w.certificate->root_basis.empty())
+      << "certificate must carry the round-0 basis for ECO hot starts";
   EXPECT_GT(w.num_x_vars, 0);
   EXPECT_LE(w.num_cand_rows, pc.initial.floorplan.num_pairs());
 }

@@ -1,14 +1,10 @@
-// mth::ser tests: canonical JSON value layer, envelope versioning, codec
-// round-trip byte-identity, and the canonical design/options hashes that key
-// the mth_serve result cache.
+// mth::ser tests: canonical JSON value layer, envelope versioning, the
+// FlowOptions codec's round-trip byte-identity, and the canonical
+// design/options hashes that key the mth_serve result cache.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "mth/flows/flow.hpp"
-#include "mth/io/lefio.hpp"
-#include "mth/liberty/asap7.hpp"
 #include "mth/ser/ser.hpp"
 
 namespace mth::ser {
@@ -22,18 +18,6 @@ const flows::PreparedCase& shared_case() {
     return prepare_case(synth::spec_by_name("aes_300"), opt);
   }();
   return pc;
-}
-
-const rap::RapResult& shared_rap() {
-  static const std::shared_ptr<const rap::RapResult> res = [] {
-    const flows::PreparedCase& pc = shared_case();
-    flows::FlowOptions opt;
-    opt.scale = 0.05;
-    opt.rap.ilp.time_limit_s = 10;
-    (void)flows::run_flow(pc, flows::FlowId::F4, opt, false, false);
-    return pc.rap_cache;
-  }();
-  return *res;
 }
 
 // --- value layer -----------------------------------------------------------
@@ -92,63 +76,24 @@ TEST(Envelope, MissingVersionRejected) {
 }
 
 TEST(Envelope, UnknownFieldRejected) {
-  Value v = to_value(rap::RapOptions{});
-  v.set("definitely_not_a_field", Value::integer(1));
-  EXPECT_THROW(rap_options_from_value(v), Error);
+  // Unknown keys fail the read at any depth, here inside the rap_options
+  // envelope nested in flow_options.
+  const std::string head =
+      "{\"mth_ser_version\": 1, \"kind\": \"flow_options\", \"rap\": "
+      "{\"mth_ser_version\": 1, \"kind\": \"rap_options\"";
+  EXPECT_NO_THROW(flow_options_from_value(parse(head + "}}")));
+  EXPECT_THROW(
+      flow_options_from_value(parse(head + ", \"definitely_not_a_field\": 1}}")),
+      Error);
 }
 
 TEST(Envelope, WrongKindRejected) {
-  const Value v = to_value(rap::RapOptions{});
+  Value v = make_envelope("job");
+  v.set("testcase", Value::string("aes_300"));
   EXPECT_THROW(flow_options_from_value(v), Error);
 }
 
-// --- codec round-trips -----------------------------------------------------
-
-// A small design over a LEF-closed library (one that io::write_lef can
-// express — master heights match site heights), exercising the embedded-LEF
-// codec path used for external designs.
-Design tiny_external_design() {
-  std::ostringstream lef;
-  io::write_lef(lef, *liberty::library_ref());
-  std::istringstream lef_in(lef.str());
-  Design d;
-  d.name = "tiny";
-  d.clock_ps = 500.0;
-  d.library = io::read_lef(lef_in, "tiny_lib").library;
-  int out_pin = -1, in_pin = -1;
-  const CellMaster& m = d.library->master(0);
-  for (std::size_t p = 0; p < m.pins.size(); ++p) {
-    (m.pins[p].is_output ? out_pin : in_pin) = static_cast<int>(p);
-  }
-  d.netlist.add_instance("u0", 0, {0, 0});
-  d.netlist.add_instance("u1", 0, {540, 0});
-  const NetId n = d.netlist.add_net("n0");
-  d.netlist.connect(n, {0, out_pin});
-  d.netlist.connect(n, {1, in_pin});
-  return d;
-}
-
-TEST(RoundTrip, DesignByteIdentity) {
-  const Design d = tiny_external_design();
-  const std::string first = write(to_value(d));
-  const Design back = design_from_value(parse(first));
-  EXPECT_EQ(write(to_value(back)), first);
-  EXPECT_EQ(back.netlist.num_instances(), d.netlist.num_instances());
-  EXPECT_EQ(canonical_design_hash(back), canonical_design_hash(d));
-}
-
-TEST(RoundTrip, BuiltinLibraryByReference) {
-  Design d = tiny_external_design();
-  d.library = liberty::library_ref();
-  const Value v = to_value(d);
-  // The bundled library is referenced by name, not embedded as LEF text:
-  // electrical data (which LEF cannot carry) survives the round trip.
-  EXPECT_EQ(v.get("library").get("source").as_string(), "builtin");
-  EXPECT_EQ(v.get("library").find("lef"), nullptr);
-  const Design back = design_from_value(v);
-  EXPECT_EQ(back.library.get(), d.library.get());
-  EXPECT_EQ(write(to_value(back)), write(v));
-}
+// --- FlowOptions codec -----------------------------------------------------
 
 TEST(RoundTrip, FlowOptionsByteIdentity) {
   flows::FlowOptions opt;
@@ -170,29 +115,6 @@ TEST(RoundTrip, PartialOptionsKeepDefaults) {
   EXPECT_EQ(back.scale, 0.5);
   EXPECT_EQ(back.utilization, flows::FlowOptions{}.utilization);
   EXPECT_EQ(back.rap.alpha, rap::RapOptions{}.alpha);
-}
-
-TEST(RoundTrip, RapResultByteIdentity) {
-  const rap::RapResult& r = shared_rap();
-  ASSERT_GT(r.num_clusters, 0);
-  const std::string first = write(to_value(r));
-  const rap::RapResult back = rap_result_from_value(parse(first));
-  EXPECT_EQ(write(to_value(back)), first);
-  EXPECT_EQ(back.assignment.num_pairs(), r.assignment.num_pairs());
-  EXPECT_EQ(back.minority_cells, r.minority_cells);
-  EXPECT_EQ(back.objective, r.objective);
-}
-
-TEST(RoundTrip, RapCertificateByteIdentity) {
-  const rap::RapResult& r = shared_rap();
-  ASSERT_NE(r.certificate, nullptr);
-  ASSERT_FALSE(r.certificate->root_basis.empty())
-      << "certificate must carry the round-0 basis for ECO hot starts";
-  const std::string first = write(to_value(*r.certificate));
-  const rap::RapCertificate back = certificate_from_value(parse(first));
-  EXPECT_EQ(write(to_value(back)), first);
-  EXPECT_EQ(back.duals.size(), r.certificate->duals.size());
-  EXPECT_EQ(back.root_lp_objective, r.certificate->root_lp_objective);
 }
 
 // --- canonical hashing -----------------------------------------------------
