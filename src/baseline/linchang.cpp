@@ -13,15 +13,19 @@ namespace mth::baseline {
 int auto_minority_pairs(const Design& design, const Library& width_library,
                         double fill) {
   MTH_ASSERT(fill > 0.1 && fill <= 1.0, "baseline: bad fill target");
+  const int num_pairs = design.floorplan.num_pairs();
+  MTH_ASSERT(num_pairs >= 2,
+             "baseline: N_minR needs at least 2 row pairs (one minority, one "
+             "majority), floorplan has " + std::to_string(num_pairs));
   Dbu demand = 0;
   for (InstId i = 0; i < design.netlist.num_instances(); ++i) {
     const CellMaster& m = width_library.master(design.netlist.instance(i).master);
     if (m.track_height == TrackHeight::H75T) demand += m.width;
   }
-  const Dbu pair_cap = 2 * design.floorplan.core().width();
   const int pairs = static_cast<int>(std::ceil(
-      static_cast<double>(demand) / (static_cast<double>(pair_cap) * fill)));
-  return std::clamp(pairs, 1, design.floorplan.num_pairs() - 1);
+      static_cast<double>(demand) /
+      (static_cast<double>(design.floorplan.pair_capacity()) * fill)));
+  return std::clamp(pairs, 1, num_pairs - 1);
 }
 
 KmeansAssignment assign_rows_kmeans(const Design& design, int n_min_pairs,
@@ -56,49 +60,37 @@ KmeansAssignment assign_rows_kmeans(const Design& design, int n_min_pairs,
     return sizes[static_cast<std::size_t>(a)] > sizes[static_cast<std::size_t>(b)];
   });
 
-  RowAssignment ra = RowAssignment::all_majority(fp.num_pairs());
-  std::vector<bool> taken(static_cast<std::size_t>(fp.num_pairs()), false);
-  std::vector<int> pair_of_cluster(static_cast<std::size_t>(k), -1);
-  int assigned = 0;
-  for (int c : order) {
-    const double cy = km.centroids[static_cast<std::size_t>(c)].second;
-    int best = -1;
-    Dbu best_d = INT64_MAX;
-    for (int p = 0; p < fp.num_pairs(); ++p) {
-      if (taken[static_cast<std::size_t>(p)]) continue;
-      const Dbu d = std::llabs(fp.pair_y_center(p) - static_cast<Dbu>(cy));
-      if (d < best_d) {
-        best_d = d;
-        best = p;
-      }
-    }
-    MTH_ASSERT(best >= 0, "baseline: ran out of row pairs");
-    taken[static_cast<std::size_t>(best)] = true;
-    ra.pair_is_minority[static_cast<std::size_t>(best)] = true;
-    pair_of_cluster[static_cast<std::size_t>(c)] = best;
-    ++assigned;
+  std::vector<Dbu> centroid_y;
+  for (const auto& c : km.centroids) centroid_y.push_back(static_cast<Dbu>(c.second));
+  const std::vector<Dbu> pair_y = fp.pair_y_centers();
+  std::vector<char> taken(pair_y.size(), 0);
+  const std::vector<int> pair_of_cluster =
+      claim_nearest_pairs(pair_y, centroid_y, order, taken);
+  out.rows = RowAssignment::all_majority(fp.num_pairs());
+  for (int p : pair_of_cluster) {
+    MTH_ASSERT(p >= 0, "baseline: ran out of row pairs");
+    out.rows.pair_is_minority[static_cast<std::size_t>(p)] = true;
   }
   // If k < n_min_pairs (degenerate tiny cases), pad with pairs nearest the
   // already-chosen ones so capacity still matches Flow (2)'s N_minR.
-  for (int extra = assigned; extra < n_min_pairs; ++extra) {
+  for (int extra = k; extra < n_min_pairs; ++extra) {
     int best = -1;
     Dbu best_d = INT64_MAX;
-    for (int p = 0; p < fp.num_pairs(); ++p) {
-      if (taken[static_cast<std::size_t>(p)]) continue;
-      for (int q = 0; q < fp.num_pairs(); ++q) {
-        if (!taken[static_cast<std::size_t>(q)]) continue;
-        const Dbu d = std::llabs(fp.pair_y_center(p) - fp.pair_y_center(q));
+    for (std::size_t p = 0; p < pair_y.size(); ++p) {
+      if (taken[p]) continue;
+      for (std::size_t q = 0; q < pair_y.size(); ++q) {
+        if (!taken[q]) continue;
+        const Dbu d = std::llabs(pair_y[p] - pair_y[q]);
         if (d < best_d) {
           best_d = d;
-          best = p;
+          best = static_cast<int>(p);
         }
       }
     }
     if (best < 0) break;
-    taken[static_cast<std::size_t>(best)] = true;
-    ra.pair_is_minority[static_cast<std::size_t>(best)] = true;
+    taken[static_cast<std::size_t>(best)] = 1;
+    out.rows.pair_is_minority[static_cast<std::size_t>(best)] = true;
   }
-  out.rows = std::move(ra);
   out.cell_pair.resize(out.minority_cells.size());
   for (std::size_t i = 0; i < out.minority_cells.size(); ++i) {
     out.cell_pair[i] =
@@ -115,58 +107,18 @@ legal::AbacusResult legalize_with_assignment(
   if (bound_cells != nullptr && bound_pairs != nullptr) {
     MTH_ASSERT(bound_cells->size() == bound_pairs->size(),
                "baseline: binding size mismatch");
-    const Floorplan& fp = design.floorplan;
     for (std::size_t k = 0; k < bound_cells->size(); ++k) {
       const int p = (*bound_pairs)[k];
       if (p < 0) continue;
       Instance& inst = design.netlist.instance((*bound_cells)[k]);
       const Dbu yc = inst.pos.y + design.master_of((*bound_cells)[k]).height / 2;
-      const Row& lower = fp.pair_lower(p);
-      const Row& upper = fp.pair_upper(p);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
+      inst.pos.y = design.floorplan.nearer_row(p, yc).y;
     }
   }
-  // Seed every cell whose current pair class mismatches onto the nearest
-  // admissible pair ("move the cells to fit into rows with corresponding
-  // track-heights"): unbound minority cells and, crucially, majority cells
-  // evicted from freshly chosen minority pairs.
-  {
-    const Floorplan& fp = design.floorplan;
-    for (InstId i = 0; i < design.netlist.num_instances(); ++i) {
-      Instance& inst = design.netlist.instance(i);
-      const bool minority = design.is_minority(i);
-      const Dbu yc = inst.pos.y + design.master_of(i).height / 2;
-      if (assignment.is_minority_pair(fp.row_at_y(yc) / 2) == minority) continue;
-      int best = -1;
-      Dbu best_d = INT64_MAX;
-      for (int p = 0; p < fp.num_pairs(); ++p) {
-        if (assignment.is_minority_pair(p) != minority) continue;
-        const Dbu d = std::llabs(fp.pair_y_center(p) - yc);
-        if (d < best_d) {
-          best_d = d;
-          best = p;
-        }
-      }
-      if (best < 0) continue;
-      const Row& lower = fp.pair_lower(best);
-      const Row& upper = fp.pair_upper(best);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
-    }
-  }
-
-  legal::AbacusOptions opt;
-  const Design* dp = &design;
-  const RowAssignment* ra = &assignment;
-  opt.row_filter = [dp, ra](InstId cell, int row) {
-    return dp->is_minority(cell) == ra->is_minority_row(row);
-  };
-  return legal::abacus_legalize(design, opt);
+  // Unbound minority cells and, crucially, majority cells evicted from
+  // freshly chosen minority pairs are seeded by the row-class legalization
+  // ("move the cells to fit into rows with corresponding track-heights").
+  return legal::row_class_legalize(design, assignment);
 }
 
 }  // namespace mth::baseline

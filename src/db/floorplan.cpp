@@ -1,6 +1,7 @@
 #include "mth/db/floorplan.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "mth/util/error.hpp"
 
@@ -47,6 +48,22 @@ Floorplan Floorplan::make_mixed(Rect core_xspan, Dbu core_bottom,
   fp.core_ = Rect{{core_xspan.lo.x, core_bottom}, {core_xspan.lo.x + width, y}};
   fp.check();
   return fp;
+}
+
+std::vector<Dbu> Floorplan::pair_y_centers() const {
+  std::vector<Dbu> ys(static_cast<std::size_t>(num_pairs()));
+  for (int p = 0; p < num_pairs(); ++p) {
+    ys[static_cast<std::size_t>(p)] = pair_y_center(p);
+  }
+  return ys;
+}
+
+const Row& Floorplan::nearer_row(int p, Dbu y) const {
+  const Row& lower = pair_lower(p);
+  const Row& upper = pair_upper(p);
+  return std::llabs(lower.y_center() - y) <= std::llabs(upper.y_center() - y)
+             ? lower
+             : upper;
 }
 
 int Floorplan::row_at_y(Dbu y) const {

@@ -56,12 +56,18 @@ class Floorplan {
   Dbu pair_y_center(int p) const {
     return (pair_lower(p).y + pair_upper(p).y_top()) / 2;
   }
+  /// Pair centers in pair order (ascending y).
+  std::vector<Dbu> pair_y_centers() const;
   /// Width capacity of pair p = sum of its two row widths (w(r) in Eq. 4).
   Dbu pair_capacity() const { return 2 * (core_.width()); }
 
   /// Index of the row whose [y, y+height) span contains `y`; clamps to the
   /// nearest row when outside the core.
   int row_at_y(Dbu y) const;
+  /// Pair of the row containing `y` (row_at_y's clamping applies).
+  int pair_at_y(Dbu y) const { return row_at_y(y) / 2; }
+  /// The row of pair p whose center is nearer `y`; ties go to the lower row.
+  const Row& nearer_row(int p, Dbu y) const;
 
   /// Sites per row.
   int sites_per_row() const {

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "mth/db/floorplan.hpp"
 #include "mth/util/error.hpp"
 
 namespace mth {
@@ -34,5 +35,20 @@ struct RowAssignment {
     return ra;
   }
 };
+
+/// Nearest pair to `y` (by pair y center) whose class under `ra` is
+/// `minority`; ties go to the lower pair, -1 when no pair has that class. A
+/// null `ra` admits every pair.
+int nearest_pair_of_class(const Floorplan& fp, const RowAssignment* ra,
+                          bool minority, Dbu y);
+
+/// Each wanted y, visited in `order`, claims the unclaimed pair whose center
+/// in `pair_y` is nearest (ties go to the lower pair) and marks it in
+/// `taken`. Returns the pair claimed per wanted index; -1 when every pair
+/// was already taken.
+std::vector<int> claim_nearest_pairs(const std::vector<Dbu>& pair_y,
+                                     const std::vector<Dbu>& want_y,
+                                     const std::vector<int>& order,
+                                     std::vector<char>& taken);
 
 }  // namespace mth

@@ -13,6 +13,7 @@
 #include <functional>
 
 #include "mth/db/design.hpp"
+#include "mth/db/rowassign.hpp"
 
 namespace mth::legal {
 
@@ -39,5 +40,17 @@ struct AbacusResult {
 /// Legalize the design in place: every cell lands on a site inside a row
 /// (height-compatible; track-height-compatible when requested), no overlaps.
 AbacusResult abacus_legalize(Design& design, const AbacusOptions& options = {});
+
+/// Row-class admission under a row assignment: minority cells only enter
+/// rows of minority pairs, majority cells only rows of majority pairs. The
+/// filter reads `design` and `ra` by reference; both must outlive the
+/// returned options.
+AbacusOptions row_class_options(const Design& design, const RowAssignment& ra);
+
+/// The row-class legalization shared by the baseline [10] and the proposed
+/// fence-region legalization: every cell whose current pair has the wrong
+/// class moves to the nearer row of the nearest admissible pair, then Abacus
+/// runs under row_class_options.
+AbacusResult row_class_legalize(Design& design, const RowAssignment& ra);
 
 }  // namespace mth::legal

@@ -191,7 +191,6 @@ struct LayerConfig {
 };
 std::optional<LayerConfig> parse_layers(std::string_view json,
                                         std::string* error);
-std::string layers_to_json(const LayerConfig& config);
 
 /// Run the layering + cycle analysis over the collected include edges.
 /// `config_label` names the config file in config-level findings (pass the
@@ -206,10 +205,7 @@ std::vector<Finding> check_layers(const std::vector<FileIncludes>& files,
 
 /// Schema v2: {"version": 2, "total": N, "counts": {"<rule>": n, ...},
 /// "findings": [{rule, file, line, module, message, snippet}, ...]}.
-/// parse_findings_json rejects any other version.
 std::string findings_to_json(const std::vector<Finding>& findings);
-std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
-                                                        std::string* error);
 
 /// SARIF 2.1.0 (one run, tool "mth_lint", every rule listed with its
 /// description) — the format GitHub code scanning ingests for inline PR

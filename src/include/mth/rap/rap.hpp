@@ -35,10 +35,9 @@ struct RapOptions {
   /// exact formulation. Benched by `bench_ablation_clustering` (EXPERIMENTS
   /// A1); no dedicated CLI flag (edit the bench env or call solve_rap).
   bool use_clustering = true;
-  /// Minority row-pair budget; 0 = auto-size from minority width demand
-  /// (paper: "set N_minR to match the result from the Flow (2)").
+  /// Minority row-pair budget N_minR (Eq. 5): required, 1 <= n_min_pairs <
+  /// pair count; flows pass Flow (2)'s N_minR (baseline::auto_minority_pairs).
   int n_min_pairs = 0;
-  double minority_row_fill = 0.80;  ///< fill target for auto-sizing
   /// Library supplying cell widths for Eq. 4 (the original mixed-height
   /// library when the design is in mLEF space); null == design's library.
   const Library* width_library = nullptr;
@@ -324,7 +323,7 @@ struct PreparedRap {
   std::vector<InstId> minority_cells;
   std::vector<int> cluster_of;  ///< minority index -> cluster
   int n_clusters = 0;
-  int n_min_pairs = 0;          ///< resolved Eq. 5 quota (auto-sizing applied)
+  int n_min_pairs = 0;          ///< Eq. 5 quota (RapOptions::n_min_pairs)
   int nr = 0;                   ///< floorplan row-pair count
   Dbu pair_cap = 0;             ///< per-pair width capacity
   std::vector<Dbu> cluster_w;   ///< Eq. 4 cluster widths (width library)

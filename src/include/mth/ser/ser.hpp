@@ -76,9 +76,7 @@ class Value {
   static Value object();
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
   bool is_object() const { return kind_ == Kind::Object; }
-  bool is_array() const { return kind_ == Kind::Array; }
 
   /// Typed accessors; throw mth::Error on a kind mismatch (as_double
   /// accepts Int too — a JSON `3` is a valid double field value).

@@ -190,4 +190,29 @@ AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
   return res;
 }
 
+AbacusOptions row_class_options(const Design& design, const RowAssignment& ra) {
+  AbacusOptions opt;
+  const Design* dp = &design;
+  const RowAssignment* rap = &ra;
+  opt.row_filter = [dp, rap](InstId cell, int row) {
+    return dp->is_minority(cell) == rap->is_minority_row(row);
+  };
+  return opt;
+}
+
+AbacusResult row_class_legalize(Design& design, const RowAssignment& ra) {
+  MTH_ASSERT(ra.num_pairs() == design.floorplan.num_pairs(),
+             "abacus: assignment / floorplan mismatch");
+  const Floorplan& fp = design.floorplan;
+  for (InstId i = 0; i < design.netlist.num_instances(); ++i) {
+    Instance& inst = design.netlist.instance(i);
+    const bool minority = design.is_minority(i);
+    const Dbu yc = inst.pos.y + design.master_of(i).height / 2;
+    if (ra.is_minority_pair(fp.pair_at_y(yc)) == minority) continue;
+    const int p = nearest_pair_of_class(fp, &ra, minority, yc);
+    if (p >= 0) inst.pos.y = fp.nearer_row(p, yc).y;
+  }
+  return abacus_legalize(design, row_class_options(design, ra));
+}
+
 }  // namespace mth::legal

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "scan.hpp"
 
@@ -85,22 +84,6 @@ std::optional<LayerConfig> parse_layers(std::string_view json,
     cfg.modules.emplace_back(name, std::move(deps));
   }
   return cfg;
-}
-
-std::string layers_to_json(const LayerConfig& config) {
-  std::ostringstream os;
-  os << "{\n \"version\": 1,\n \"modules\": {";
-  for (std::size_t i = 0; i < config.modules.size(); ++i) {
-    const auto& [name, deps] = config.modules[i];
-    os << (i == 0 ? "\n" : ",\n") << "  \"" << detail::json_escape(name)
-       << "\": [";
-    for (std::size_t j = 0; j < deps.size(); ++j) {
-      os << (j == 0 ? "" : ", ") << '"' << detail::json_escape(deps[j]) << '"';
-    }
-    os << ']';
-  }
-  os << (config.modules.empty() ? "}\n}\n" : "\n }\n}\n");
-  return os.str();
 }
 
 namespace {

@@ -498,8 +498,7 @@ TraceUses collect_trace_uses(std::string_view text) {
 
 std::string findings_to_json(const std::vector<Finding>& findings) {
   // Schema v2 (per-rule counts and a per-finding module label): consumed by
-  // tools/lint_smoke.sh's schema check and CI artifact tooling, round-tripped
-  // by parse_findings_json below.
+  // tools/lint_smoke.sh's schema check and CI artifact tooling.
   std::map<std::string, int> counts;
   for (const Finding& f : findings) ++counts[to_string(f.rule)];
   std::ostringstream os;
@@ -522,76 +521,6 @@ std::string findings_to_json(const std::vector<Finding>& findings) {
   }
   os << (findings.empty() ? "]\n}\n" : "\n ]\n}\n");
   return os.str();
-}
-
-std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
-                                                        std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      version->num != 2.0) {
-    return fail("missing or unsupported 'version' (want 2)");
-  }
-  const JValue* arr = doc.find("findings");
-  if (arr == nullptr || arr->kind != JValue::Arr) {
-    return fail("'findings' must be an array");
-  }
-  const JValue* total = doc.find("total");
-  if (total == nullptr || total->kind != JValue::Num ||
-      static_cast<std::size_t>(total->num) != arr->arr.size()) {
-    return fail("'total' must match the findings count");
-  }
-  std::vector<Finding> out;
-  std::map<std::string, int> counts;
-  for (const JValue& v : arr->arr) {
-    if (v.kind != JValue::Obj) return fail("finding must be an object");
-    Finding f;
-    const JValue* rule = v.find("rule");
-    const JValue* file = v.find("file");
-    const JValue* line = v.find("line");
-    const JValue* message = v.find("message");
-    const JValue* snippet = v.find("snippet");
-    if (rule == nullptr || rule->kind != JValue::Str ||
-        file == nullptr || file->kind != JValue::Str ||
-        line == nullptr || line->kind != JValue::Num ||
-        message == nullptr || message->kind != JValue::Str ||
-        snippet == nullptr || snippet->kind != JValue::Str) {
-      return fail("finding missing rule/file/line/message/snippet");
-    }
-    const auto r = rule_from_string(rule->str);
-    if (!r) return fail("unknown rule id '" + rule->str + "'");
-    f.rule = *r;
-    f.file = file->str;
-    f.line = static_cast<int>(line->num);
-    f.message = message->str;
-    f.snippet = snippet->str;
-    ++counts[rule->str];
-    out.push_back(std::move(f));
-  }
-  // The per-rule counts block must agree with the findings array, so
-  // truncated artifacts are rejected loudly.
-  const JValue* cv = doc.find("counts");
-  if (cv == nullptr || cv->kind != JValue::Obj) {
-    return fail("v2 requires a 'counts' object");
-  }
-  std::size_t sum = 0;
-  for (const auto& [rule, n] : cv->obj) {
-    if (n.kind != JValue::Num || !rule_from_string(rule)) {
-      return fail("bad 'counts' entry '" + rule + "'");
-    }
-    if (counts[rule] != static_cast<int>(n.num)) {
-      return fail("'counts." + rule + "' disagrees with the findings");
-    }
-    sum += static_cast<std::size_t>(n.num);
-  }
-  if (sum != out.size()) return fail("'counts' must sum to 'total'");
-  return out;
 }
 
 std::string registry_to_json(const Registry& registry) {

@@ -254,22 +254,11 @@ PreparedRap prepare_rap(const Design& design, const RapOptions& opt) {
   MTH_ASSERT(n_min_c > 0, "rap: no minority cells");
   const int nr = fp.num_pairs();
   prep.nr = nr;
-  prep.pair_cap = 2 * fp.core().width();
-
-  // --- N_minR -------------------------------------------------------------------
-  int n_min_pairs = opt.n_min_pairs;
-  if (n_min_pairs <= 0) {
-    Dbu demand = 0;
-    for (InstId i : prep.minority_cells) {
-      demand += wlib.master(design.netlist.instance(i).master).width;
-    }
-    n_min_pairs = std::clamp(
-        static_cast<int>(std::ceil(static_cast<double>(demand) /
-                                   (static_cast<double>(prep.pair_cap) *
-                                    opt.minority_row_fill))),
-        1, nr - 1);
-  }
-  prep.n_min_pairs = n_min_pairs;
+  prep.pair_cap = fp.pair_capacity();
+  MTH_ASSERT(opt.n_min_pairs >= 1 && opt.n_min_pairs < nr,
+             "rap: N_minR " + std::to_string(opt.n_min_pairs) +
+                 " outside [1, " + std::to_string(nr) + ")");
+  prep.n_min_pairs = opt.n_min_pairs;
 
   // --- clustering (§III-B) ------------------------------------------------------
   WallTimer t_cluster;
@@ -349,10 +338,7 @@ PreparedRap prepare_rap(const Design& design, const RapOptions& opt) {
     prep.member_ys.push_back(design.netlist.instance(i).pos.y +
                              design.master_of(i).height / 2);
   }
-  prep.pair_y.resize(static_cast<std::size_t>(nr));
-  for (int r = 0; r < nr; ++r) {
-    prep.pair_y[static_cast<std::size_t>(r)] = fp.pair_y_center(r);
-  }
+  prep.pair_y = fp.pair_y_centers();
 
   // Optional eviction model: opening pair r as minority displaces its
   // current majority occupants by at least one pair pitch; charge
@@ -365,7 +351,7 @@ PreparedRap prepare_rap(const Design& design, const RapOptions& opt) {
     for (InstId i = 0; i < design.netlist.num_instances(); ++i) {
       if (design.is_minority(i)) continue;
       const Instance& inst = design.netlist.instance(i);
-      const int p = fp.row_at_y(inst.pos.y + design.master_of(i).height / 2) / 2;
+      const int p = fp.pair_at_y(inst.pos.y + design.master_of(i).height / 2);
       prep.evict_cost[static_cast<std::size_t>(p)] +=
           opt.alpha * static_cast<double>(pitch);
     }
@@ -663,28 +649,15 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
     // k-means-style rows: 1-D clusters of minority y mass claim nearest pairs.
     const int k = std::min(n_min_pairs, n_min_c);
     const auto km = cluster::kmeans_1d(inst.member_ys, k);
+    std::vector<Dbu> centroid_y;
+    for (const auto& c : km.centroids) centroid_y.push_back(static_cast<Dbu>(c.second));
+    std::vector<int> order(static_cast<std::size_t>(k));
+    std::iota(order.begin(), order.end(), 0);
     std::vector<char> forced(static_cast<std::size_t>(nr), 0);
-    std::vector<char> taken(static_cast<std::size_t>(nr), 0);
-    int opened = 0;
-    for (int c = 0; c < k; ++c) {
-      int best = -1;
-      Dbu best_d = INT64_MAX;
-      for (int r = 0; r < nr; ++r) {
-        if (taken[static_cast<std::size_t>(r)]) continue;
-        const Dbu d = std::llabs(
-            inst.pair_y[static_cast<std::size_t>(r)] -
-            static_cast<Dbu>(km.centroids[static_cast<std::size_t>(c)].second));
-        if (d < best_d) {
-          best_d = d;
-          best = r;
-        }
-      }
-      if (best >= 0) {
-        taken[static_cast<std::size_t>(best)] = 1;
-        forced[static_cast<std::size_t>(best)] = 1;
-        ++opened;
-      }
-    }
+    const std::vector<int> claimed =
+        claim_nearest_pairs(inst.pair_y, centroid_y, order, forced);
+    const auto opened = std::count_if(claimed.begin(), claimed.end(),
+                                      [](int p) { return p >= 0; });
     if (opened == n_min_pairs) {
       std::vector<int> pair_of_km;
       std::vector<char> open_km;

@@ -13,23 +13,6 @@
 namespace mth::rap {
 namespace {
 
-/// Nearest row pair of the required class to y; -1 when none exists. With
-/// `any_class` the assignment is ignored (unconstrained refinement mode).
-int nearest_pair_of_class(const Floorplan& fp, const RowAssignment& ra,
-                          bool minority, Dbu y, bool any_class = false) {
-  int best = -1;
-  Dbu best_d = INT64_MAX;
-  for (int p = 0; p < fp.num_pairs(); ++p) {
-    if (!any_class && ra.is_minority_pair(p) != minority) continue;
-    const Dbu d = std::llabs(fp.pair_y_center(p) - y);
-    if (d < best_d) {
-      best_d = d;
-      best = p;
-    }
-  }
-  return best;
-}
-
 /// Median of a vector (in place nth_element); midpoint of the two middles
 /// for even sizes.
 Dbu median_of(std::vector<Dbu>& v, Dbu fallback) {
@@ -66,37 +49,14 @@ RcLegalResult rc_legalize(Design& design, const RowAssignment& ra,
   db::IncrementalHpwl ihpwl(design);
   res.hpwl_before = ihpwl.total();
 
+  // Seed every cell into the nearest admissible pair (the fence union for
+  // minority cells, its complement for majority cells) and legalize under
+  // the row-class filter; unconstrained mode is plain Abacus.
   const bool enforce = opt.enforce_assignment;
-  legal::AbacusOptions aopt;
-  const Design* dp = &design;
-  const RowAssignment* rap = &ra;
-  if (enforce) {
-    aopt.row_filter = [dp, rap](InstId cell, int row) {
-      return dp->is_minority(cell) == rap->is_minority_row(row);
-    };
-  }
-
-  // Seed: pull every cell vertically into the nearest admissible pair (the
-  // fence union for minority cells, its complement for majority cells).
-  for (InstId i = 0; i < nl.num_instances(); ++i) {
-    Instance& inst = design.netlist.instance(i);
-    const bool minority = design.is_minority(i);
-    const Dbu yc = inst.pos.y + design.master_of(i).height / 2;
-    const int p = (!enforce ||
-                   ra.is_minority_pair(fp.row_at_y(yc) / 2) == minority)
-                      ? -1  // already in an admissible pair
-                      : nearest_pair_of_class(fp, ra, minority, yc);
-    if (p >= 0) {
-      // Land in the nearer of the pair's two rows.
-      const Row& lower = fp.pair_lower(p);
-      const Row& upper = fp.pair_upper(p);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
-    }
-  }
-  legal::AbacusResult ar = legal::abacus_legalize(design, aopt);
+  const legal::AbacusOptions aopt =
+      enforce ? legal::row_class_options(design, ra) : legal::AbacusOptions{};
+  legal::AbacusResult ar = enforce ? legal::row_class_legalize(design, ra)
+                                   : legal::abacus_legalize(design, aopt);
   if (!ar.success) return res;
 
   legal::swap_polish(design);
@@ -134,16 +94,9 @@ RcLegalResult rc_legalize(Design& design, const RowAssignment& ra,
                                                        median_of(xs, cx) - cx));
       const Dbu ty = cy + static_cast<Dbu>(damp * static_cast<double>(
                                                        median_of(ys, cy) - cy));
-      const int p =
-          nearest_pair_of_class(fp, ra, design.is_minority(i), ty, !enforce);
-      Dbu y = inst.pos.y;
-      if (p >= 0) {
-        const Row& lower = fp.pair_lower(p);
-        const Row& upper = fp.pair_upper(p);
-        y = (std::llabs(lower.y_center() - ty) <= std::llabs(upper.y_center() - ty))
-                ? lower.y
-                : upper.y;
-      }
+      const int p = nearest_pair_of_class(fp, enforce ? &ra : nullptr,
+                                          design.is_minority(i), ty);
+      const Dbu y = p >= 0 ? fp.nearer_row(p, ty).y : inst.pos.y;
       // Through the engine: O(pins of i) bbox maintenance, and later cells'
       // median pulls see this move via the design (sequential semantics).
       ihpwl.apply_move(i, {std::clamp<Dbu>(tx - m.width / 2, fp.core().lo.x,

@@ -581,7 +581,6 @@ Value rap_options_to_value(const rap::RapOptions& o) {
   v.set("alpha", Value::number(o.alpha));
   v.set("use_clustering", Value::boolean(o.use_clustering));
   v.set("n_min_pairs", Value::integer(o.n_min_pairs));
-  v.set("minority_row_fill", Value::number(o.minority_row_fill));
   v.set("kmeans_max_iterations", Value::integer(o.kmeans_max_iterations));
   v.set("max_cand_rows", Value::integer(o.max_cand_rows));
   v.set("model_eviction", Value::boolean(o.model_eviction));
@@ -605,7 +604,7 @@ rap::RapOptions rap_options_from_value(const Value& v) {
   reject_unknown_keys(
       v,
       {"mth_ser_version", "kind", "s", "alpha", "use_clustering",
-       "n_min_pairs", "minority_row_fill", "kmeans_max_iterations",
+       "n_min_pairs", "kmeans_max_iterations",
        "max_cand_rows", "model_eviction", "export_certificate", "shards",
        "shard_overlap", "seed", "ilp"},
       "rap_options");
@@ -617,7 +616,6 @@ rap::RapOptions rap_options_from_value(const Value& v) {
   opt_double(v, "alpha", o.alpha);
   opt_bool(v, "use_clustering", o.use_clustering);
   opt_int(v, "n_min_pairs", o.n_min_pairs);
-  opt_double(v, "minority_row_fill", o.minority_row_fill);
   opt_int(v, "kmeans_max_iterations", o.kmeans_max_iterations);
   opt_int(v, "max_cand_rows", o.max_cand_rows);
   opt_bool(v, "model_eviction", o.model_eviction);

@@ -161,7 +161,7 @@ CertifyReport certify_rap(const Design& design, const rap::RapResult& result,
     problem("assignment pair count does not match the floorplan");
     return rep;
   }
-  const Dbu pair_cap = 2 * fp.core().width();
+  const Dbu pair_cap = fp.pair_capacity();
   std::vector<Dbu> load(static_cast<std::size_t>(nr), 0);
   for (int c = 0; c < n_clusters; ++c) {
     const int r = result.cluster_pair[static_cast<std::size_t>(c)];

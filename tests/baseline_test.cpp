@@ -31,8 +31,18 @@ TEST(AutoMinorityPairs, CoversDemand) {
         pc.original_library->master(pc.initial.netlist.instance(i).master);
     if (m.track_height == TrackHeight::H75T) demand += m.width;
   }
-  const Dbu cap = static_cast<Dbu>(n) * 2 * pc.initial.floorplan.core().width();
+  const Dbu cap = static_cast<Dbu>(n) * pc.initial.floorplan.pair_capacity();
   EXPECT_GE(static_cast<double>(cap) * 0.8, static_cast<double>(demand) - 1.0);
+}
+
+TEST(AutoMinorityPairs, RejectsOnePairFloorplan) {
+  // N_minR must leave a majority pair: 1 <= N_minR < pairs has no solution.
+  const auto& pc = small_case();
+  Design d = pc.initial;
+  const Floorplan& fp = pc.initial.floorplan;
+  d.floorplan = Floorplan::make_uniform(fp.core(), 1, fp.row(0).height,
+                                        fp.row(0).track_height, fp.site_width());
+  EXPECT_THROW(auto_minority_pairs(d, *pc.original_library, 0.8), Error);
 }
 
 TEST(AutoMinorityPairs, TighterFillNeedsMoreRows) {

@@ -141,6 +141,23 @@ TEST(Floorplan, RowAtY) {
   EXPECT_EQ(fp.row_at_y(100000), 3);  // clamped
 }
 
+TEST(Floorplan, PairGeometry) {
+  const Floorplan& fp = make_tiny_design().floorplan;
+  EXPECT_EQ(fp.pair_capacity(), 2 * 5400);
+  EXPECT_EQ(fp.pair_y_centers(), (std::vector<Dbu>{216, 648}));
+  EXPECT_EQ(fp.pair_at_y(431), 0);
+  EXPECT_EQ(fp.pair_at_y(432), 1);
+  EXPECT_EQ(fp.pair_at_y(-50), 0);  // clamped like row_at_y
+}
+
+TEST(Floorplan, NearerRowTiesToLowerRow) {
+  // Pair 0 rows are centered at 108 and 324; y = 216 is equidistant.
+  const Floorplan& fp = make_tiny_design().floorplan;
+  EXPECT_EQ(fp.nearer_row(0, 216).y, 0);
+  EXPECT_EQ(fp.nearer_row(0, 217).y, 216);
+  EXPECT_EQ(fp.nearer_row(1, 0).y, 432);  // outside the pair: still its rows
+}
+
 TEST(Floorplan, MixedHeights) {
   Tech tech;
   const Floorplan fp = Floorplan::make_mixed(
@@ -248,6 +265,39 @@ TEST(RowAssignment, Basics) {
   EXPECT_TRUE(ra.is_minority_row(4));   // row 4 -> pair 2
   EXPECT_TRUE(ra.is_minority_row(5));
   EXPECT_FALSE(ra.is_minority_row(3));
+}
+
+TEST(RowAssignment, NearestPairOfClassTiesToLowerPair) {
+  // Four pairs centered at 216, 648, 1080 and 1512; pairs 0 and 2 minority.
+  const Floorplan fp = Floorplan::make_uniform(Rect{{0, 0}, {5400, 1728}}, 4,
+                                               216, TrackHeight::H6T, 54);
+  RowAssignment ra = RowAssignment::all_majority(4);
+  ra.pair_is_minority[0] = ra.pair_is_minority[2] = true;
+  EXPECT_EQ(nearest_pair_of_class(fp, &ra, true, 648), 0);    // 432 either way
+  EXPECT_EQ(nearest_pair_of_class(fp, &ra, true, 649), 2);
+  EXPECT_EQ(nearest_pair_of_class(fp, &ra, false, 1080), 1);  // 432 either way
+  EXPECT_EQ(nearest_pair_of_class(fp, nullptr, true, 432), 0);
+  EXPECT_EQ(nearest_pair_of_class(fp, nullptr, true, 1250), 2);  // any class
+  const RowAssignment none = RowAssignment::all_majority(4);
+  EXPECT_EQ(nearest_pair_of_class(fp, &none, true, 648), -1);
+}
+
+TEST(RowAssignment, ClaimGoesToEarlierWantInOrder) {
+  const std::vector<Dbu> pair_y{216, 648, 1080};
+  // Both wants are nearest pair 1; whichever comes first in `order` gets it.
+  const std::vector<Dbu> want_y{650, 640};
+  std::vector<char> taken(3, 0);
+  EXPECT_EQ(claim_nearest_pairs(pair_y, want_y, {0, 1}, taken),
+            (std::vector<int>{1, 0}));
+  EXPECT_EQ(taken, (std::vector<char>{1, 1, 0}));
+  taken.assign(3, 0);
+  EXPECT_EQ(claim_nearest_pairs(pair_y, want_y, {1, 0}, taken),
+            (std::vector<int>{2, 1}));
+  // An equidistant want takes the lower free pair; none left gives -1.
+  taken.assign(3, 0);
+  EXPECT_EQ(claim_nearest_pairs(pair_y, {432, 432, 432, 432}, {0, 1, 2, 3},
+                                taken),
+            (std::vector<int>{0, 1, 2, -1}));
 }
 
 // --- IncrementalHpwl ------------------------------------------------------

@@ -92,13 +92,7 @@ TEST(Abacus, RowFilterRespected) {
   // minority at 60% utilization).
   for (int p = 1; p < pairs; p += 3) ra.pair_is_minority[static_cast<std::size_t>(p)] = true;
 
-  AbacusOptions opt;
-  const Design* dp = &d;
-  const RowAssignment* rap = &ra;
-  opt.row_filter = [dp, rap](InstId cell, int row) {
-    return dp->is_minority(cell) == rap->is_minority_row(row);
-  };
-  const auto r = abacus_legalize(d, opt);
+  const auto r = abacus_legalize(d, row_class_options(d, ra));
   ASSERT_TRUE(r.success);
   for (InstId i = 0; i < d.netlist.num_instances(); ++i) {
     const int row = d.floorplan.row_at_y(d.netlist.instance(i).pos.y);
@@ -106,6 +100,30 @@ TEST(Abacus, RowFilterRespected) {
         << d.netlist.instance(i).name;
   }
   EXPECT_EQ(count_overlaps(d), 0);
+}
+
+TEST(RowClassLegalize, SeedsIntoNearestAdmissiblePair) {
+  // Four 7.5T pairs centered at 270, 810, 1350 and 1890; pairs 0 and 2 are
+  // minority. A minority cell centered in majority pair 1 is 540 from both
+  // minority pairs: it seeds into the lower one, on that pair's upper row
+  // (center 405, nearer 810 than the lower row's 135).
+  auto lib = liberty::library_ref();
+  Design d;
+  d.library = lib;
+  const Tech& tech = lib->tech();
+  const int inv7 =
+      find_asap7_master(*lib, CellFunc::Inv, 1, TrackHeight::H75T, Vt::RVT);
+  const InstId x = d.netlist.add_instance("x", inv7, {540, 810 - 135});
+  d.floorplan = Floorplan::make_uniform(Rect{{0, 0}, {5400, 8 * 270}}, 4,
+                                        tech.row_height_75t, TrackHeight::H75T,
+                                        54);
+  RowAssignment ra = RowAssignment::all_majority(4);
+  ra.pair_is_minority[0] = ra.pair_is_minority[2] = true;
+  const auto r = row_class_legalize(d, ra);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(d.netlist.instance(x).pos, (Point{540, 270}));
+  // Already admissible: left where it is.
+  EXPECT_EQ(row_class_legalize(d, ra).total_displacement, 0);
 }
 
 TEST(Abacus, RespectTrackHeightInMixedFloorplan) {

@@ -474,49 +474,25 @@ TEST(Scanner, DigitSeparatorsDoNotOpenCharLiterals) {
 
 // --- JSON output schema ---------------------------------------------------
 
-TEST(JsonOutput, RoundTripPreservesEveryField) {
+TEST(JsonOutput, EmitsEveryFieldEscaped) {
   const auto findings =
       run("src/rap/rap.cpp", "int x = std::rand();  // \"quoted\"\n");
   ASSERT_EQ(findings.size(), 1u);
   const std::string json = lint::findings_to_json(findings);
-  std::string error;
-  const auto parsed = lint::parse_findings_json(json, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].rule, findings[0].rule);
-  EXPECT_EQ((*parsed)[0].file, findings[0].file);
-  EXPECT_EQ((*parsed)[0].line, findings[0].line);
-  EXPECT_EQ((*parsed)[0].message, findings[0].message);
-  EXPECT_EQ((*parsed)[0].snippet, findings[0].snippet);
-}
-
-TEST(JsonOutput, SchemaViolationsAreRejected) {
-  std::string error;
-  // Missing version.
-  EXPECT_FALSE(lint::parse_findings_json("{\"total\": 0, \"findings\": []}",
-                                         &error)
-                   .has_value());
-  // total inconsistent with the findings array.
-  EXPECT_FALSE(lint::parse_findings_json(
-                   "{\"version\": 2, \"total\": 3, \"counts\": {},"
-                   " \"findings\": []}",
-                   &error)
-                   .has_value());
-  // Finding missing required fields.
-  EXPECT_FALSE(lint::parse_findings_json(
-                   "{\"version\": 2, \"total\": 1, \"counts\":"
-                   " {\"det-rand\": 1}, \"findings\":"
-                   " [{\"rule\": \"det-rand\"}]}",
-                   &error)
-                   .has_value());
+  EXPECT_NE(json.find("\"total\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"rule\": \"det-rand\", \"file\": "
+                      "\"src/rap/rap.cpp\", \"line\": 1, \"module\": "
+                      "\"rap\", \"message\": \""),
+            std::string::npos)
+      << json;
+  // The snippet keeps the source line, quotes escaped.
+  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos) << json;
 }
 
 TEST(JsonOutput, EmptyFindingsIsValid) {
-  std::string error;
-  const auto parsed =
-      lint::parse_findings_json(lint::findings_to_json({}), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_TRUE(parsed->empty());
+  EXPECT_EQ(lint::findings_to_json({}),
+            "{\n \"version\": 2,\n \"total\": 0,\n \"counts\": {},\n"
+            " \"findings\": []\n}\n");
 }
 
 // --- registry round-trip --------------------------------------------------
@@ -696,13 +672,14 @@ TEST(Layers, CollectIncludesSkipsAngleAndCommentedIncludes) {
   EXPECT_EQ(inc[1].target, "scan.hpp");
 }
 
-TEST(Layers, ConfigRoundTrip) {
-  const std::string json =
-      "{\n \"version\": 1,\n \"modules\": {\n  \"db\": [\"util\"],\n"
-      "  \"util\": []\n }\n}\n";
-  const lint::LayerConfig cfg = layers_of(json);
+TEST(Layers, ConfigKeepsFileOrder) {
+  const lint::LayerConfig cfg = layers_of(
+      R"({"version": 1, "modules": {"db": ["util"], "util": []}})");
   ASSERT_EQ(cfg.modules.size(), 2u);
-  EXPECT_EQ(layers_of(lint::layers_to_json(cfg)).modules, cfg.modules);
+  EXPECT_EQ(cfg.modules[0].first, "db");
+  EXPECT_EQ(cfg.modules[0].second, std::vector<std::string>{"util"});
+  EXPECT_EQ(cfg.modules[1].first, "util");
+  EXPECT_TRUE(cfg.modules[1].second.empty());
 }
 
 TEST(Layers, UndeclaredEdgeIsViolation) {
@@ -819,36 +796,7 @@ TEST(JsonOutput, V2EmitsCountsAndModule) {
   EXPECT_NE(js.find("\"version\": 2"), std::string::npos);
   EXPECT_NE(js.find("\"par-capture-race\": 2"), std::string::npos);
   EXPECT_NE(js.find("\"module\": \"rap\""), std::string::npos);
-  std::string error;
-  const auto parsed = lint::parse_findings_json(js, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->size(), 2u);
-}
-
-TEST(JsonOutput, V1IsRejected) {
-  const std::string v1 =
-      "{\"version\": 1, \"total\": 1, \"findings\": [{\"rule\": "
-      "\"det-rand\", \"file\": \"a.cpp\", \"line\": 4, \"message\": \"m\", "
-      "\"snippet\": \"s\"}]}";
-  std::string error;
-  EXPECT_FALSE(lint::parse_findings_json(v1, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos);
-}
-
-TEST(JsonOutput, InconsistentV2CountsAreRejected) {
-  Finding a;
-  a.rule = Rule::LayerCycle;
-  a.file = "x.hpp";
-  a.message = "m";
-  a.snippet = "s";
-  std::string js = lint::findings_to_json({a});
-  const std::string key = "\"layer-cycle\": 1";
-  const std::size_t at = js.find(key);
-  ASSERT_NE(at, std::string::npos);
-  js.replace(at, key.size(), "\"layer-cycle\": 7");
-  std::string error;
-  EXPECT_FALSE(lint::parse_findings_json(js, &error).has_value());
-  EXPECT_NE(error.find("counts"), std::string::npos);
+  EXPECT_NE(js.find("\"total\": 2,"), std::string::npos);
 }
 
 TEST(Sarif, EmitterListsRulesAndClampsFileLevelFindings) {

@@ -73,7 +73,7 @@ TEST(Rap, CapacityRespectedEq4) {
     load[static_cast<std::size_t>(p)] += pc.original_library->master(
         pc.initial.netlist.instance(r.minority_cells[k]).master).width;
   }
-  const Dbu cap = 2 * pc.initial.floorplan.core().width();
+  const Dbu cap = pc.initial.floorplan.pair_capacity();
   for (Dbu l : load) EXPECT_LE(l, cap);
 }
 
@@ -140,13 +140,15 @@ TEST(Rap, ClusteringShrinksIlpAndRuntimeMetadata) {
   EXPECT_LT(rc_res.num_clusters, rf.num_clusters);
 }
 
-TEST(Rap, AutoBudgetWhenUnset) {
+TEST(Rap, RejectsBudgetOutsideRange) {
+  // N_minR is Flow (2)'s value (baseline::auto_minority_pairs); the RAP does
+  // not size it, so an unset or full budget is a caller error.
   const auto& pc = small_case();
   RapOptions ro = base_options(pc);
-  ro.n_min_pairs = 0;  // auto-size
-  const RapResult r = solve_rap(pc.initial, ro);
-  EXPECT_GE(r.n_min_pairs, 1);
-  EXPECT_EQ(r.assignment.num_minority(), r.n_min_pairs);
+  ro.n_min_pairs = 0;
+  EXPECT_THROW(solve_rap(pc.initial, ro), mth::Error);
+  ro.n_min_pairs = pc.initial.floorplan.num_pairs();
+  EXPECT_THROW(solve_rap(pc.initial, ro), mth::Error);
 }
 
 TEST(Rap, BitIdenticalAcrossThreadCounts) {
@@ -475,7 +477,7 @@ void expect_rap_feasible(const flows::PreparedCase& pc, const RapResult& r) {
             ->master(pc.initial.netlist.instance(r.minority_cells[k]).master)
             .width;
   }
-  const Dbu cap = 2 * pc.initial.floorplan.core().width();
+  const Dbu cap = pc.initial.floorplan.pair_capacity();
   for (Dbu v : load) EXPECT_LE(v, cap);
 }
 

@@ -114,7 +114,6 @@ TEST(StressFlow, HighMinorityFractionCase) {
   flows::FlowOptions opt;
   opt.scale = 0.04;
   opt.baseline.minority_row_fill = 0.92;
-  opt.rap.minority_row_fill = 0.92;
   opt.rap.ilp.time_limit_s = 10;
   const flows::PreparedCase pc =
       flows::prepare_case(synth::spec_by_name("aes_300"), opt);

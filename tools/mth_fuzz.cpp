@@ -116,7 +116,6 @@ flows::FlowOptions scenario_options(const Scenario& sc) {
   // vanishes at realistic cell-to-row width ratios). Size N_minR with more
   // slack so every legalizer failure the fuzzer sees is a real finding.
   opt.baseline.minority_row_fill = 0.65;
-  opt.rap.minority_row_fill = 0.65;
   return opt;
 }
 
