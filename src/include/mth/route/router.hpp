@@ -4,8 +4,16 @@
 // Per net: Prim MST over the pins (Manhattan metric), each tree edge
 // realized as an L-shaped path over a gcell grid, bend chosen by congestion;
 // overflowed edges trigger PathFinder-style maze rip-up-and-reroute with
-// present + history costs. Outputs per-net routed length and the tree
-// topology (parent/edge-length arrays) the Elmore STA consumes.
+// present + history costs (McMurchie & Ebeling 1995). Outputs per-net routed
+// length and the tree topology (parent/edge-length arrays) the Elmore STA
+// consumes.
+//
+// Search order: each rip-up search is Dijkstra from the parent pin's gcell
+// to the child's, settling nodes in (distance, node id) order, node id =
+// y * nx + x, relaxing the left, right, down, up neighbours in that order,
+// and moving a predecessor only on a strictly shorter distance. It stops
+// when the target settles. Equal-cost paths are therefore chosen by that
+// order alone; routes are a pure function of the design and the options.
 //
 // Absolute wirelength will differ from a commercial detailed router, but the
 // placement-quality ordering between flows — what Table V compares — is

@@ -1,9 +1,8 @@
 #include "mth/route/router.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <queue>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "mth/trace/trace.hpp"
@@ -18,7 +17,9 @@ struct GridPt {
   friend bool operator==(const GridPt&, const GridPt&) = default;
 };
 
-/// Routing grid with per-edge usage/history (PathFinder-style costs).
+/// Routing grid with per-edge usage/history (PathFinder-style costs). Each
+/// edge's cost is cached and refreshed whenever its usage or history moves,
+/// so the maze search reads one double per relax.
 class Grid {
  public:
   Grid(const Rect& core, Dbu gcell, double cap_per_dir)
@@ -29,6 +30,8 @@ class Grid {
     usage_v_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_ - 1), 0.0);
     hist_h_.assign(usage_h_.size(), 0.0);
     hist_v_.assign(usage_v_.size(), 0.0);
+    cost_h_.assign(usage_h_.size(), fresh_cost(0.0, 0.0));
+    cost_v_.assign(usage_v_.size(), fresh_cost(0.0, 0.0));
   }
 
   int nx() const { return nx_; }
@@ -52,23 +55,28 @@ class Grid {
   }
 
   double edge_cost(bool horiz, std::size_t id) const {
-    const double u = horiz ? usage_h_[id] : usage_v_[id];
-    const double h = horiz ? hist_h_[id] : hist_v_[id];
-    const double over = std::max(0.0, (u + 1.0 - cap_) / cap_);
-    return 1.0 + 12.0 * over + h;
+    return horiz ? cost_h_[id] : cost_v_[id];
   }
 
   void add_usage(bool horiz, std::size_t id, double delta) {
     double& u = horiz ? usage_h_[id] : usage_v_[id];
     u += delta;
+    (horiz ? cost_h_[id] : cost_v_[id]) =
+        fresh_cost(u, horiz ? hist_h_[id] : hist_v_[id]);
   }
 
   void bump_history(double inc) {
     for (std::size_t i = 0; i < usage_h_.size(); ++i) {
-      if (usage_h_[i] > cap_) hist_h_[i] += inc * (usage_h_[i] - cap_) / cap_;
+      if (usage_h_[i] > cap_) {
+        hist_h_[i] += inc * (usage_h_[i] - cap_) / cap_;
+        cost_h_[i] = fresh_cost(usage_h_[i], hist_h_[i]);
+      }
     }
     for (std::size_t i = 0; i < usage_v_.size(); ++i) {
-      if (usage_v_[i] > cap_) hist_v_[i] += inc * (usage_v_[i] - cap_) / cap_;
+      if (usage_v_[i] > cap_) {
+        hist_v_[i] += inc * (usage_v_[i] - cap_) / cap_;
+        cost_v_[i] = fresh_cost(usage_v_[i], hist_v_[i]);
+      }
     }
   }
 
@@ -92,11 +100,18 @@ class Grid {
   }
 
  private:
+  /// Present-congestion plus history cost of one edge about to take one
+  /// more wire.
+  double fresh_cost(double u, double h) const {
+    const double over = std::max(0.0, (u + 1.0 - cap_) / cap_);
+    return 1.0 + 12.0 * over + h;
+  }
+
   Rect core_;
   Dbu gcell_;
   double cap_;
   int nx_, ny_;
-  std::vector<double> usage_h_, usage_v_, hist_h_, hist_v_;
+  std::vector<double> usage_h_, usage_v_, hist_h_, hist_v_, cost_h_, cost_v_;
 };
 
 /// One committed grid segment of a net path.
@@ -127,51 +142,163 @@ double path_cost(const Grid& g, const std::vector<Seg>& segs) {
   return c;
 }
 
-/// Dijkstra maze route between grid points; returns segments and step count.
-bool maze_route(const Grid& g, GridPt a, GridPt b, std::vector<Seg>& out) {
+/// Indexed 4-ary min-heap over grid nodes keyed by (dist, node id), with
+/// decrease-key. Pops come in the same (dist, id) order as a lazy
+/// std::priority_queue of pairs, minus its stale entries. Each entry packs
+/// the key into one 128-bit integer, an order-preserving image of the dist
+/// bits above the node id, so comparing two entries is one integer compare.
+class NodeHeap {
+ public:
+  explicit NodeHeap(std::size_t nodes) : pos_(nodes, -1) {}
+
+  bool empty() const { return heap_.empty(); }
+  void clear() { heap_.clear(); }
+  /// Heap position of `node`, or -1 once popped. Only meaningful for nodes
+  /// pushed since the last clear().
+  int pos(int node) const { return pos_[static_cast<std::size_t>(node)]; }
+
+  void push(int node, double key) {
+    heap_.push_back(pack(node, key));
+    sift_up(heap_.size() - 1);
+  }
+  void decrease(int node, double key) {
+    const auto i = static_cast<std::size_t>(pos_[static_cast<std::size_t>(node)]);
+    heap_[i] = pack(node, key);
+    sift_up(i);
+  }
+  /// Removes the minimum and returns its node. The hole left at the root
+  /// walks down the smaller children to a leaf, and the last entry sifts up
+  /// from there: it usually belongs near the bottom, so this costs fewer
+  /// comparisons than sifting it down from the root.
+  int pop() {
+    const int top = node_of(heap_.front());
+    pos_[static_cast<std::size_t>(top)] = -1;
+    const Packed last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      std::size_t best = first;
+      if (first + 4 <= n) {  // full family: two pairs, then their winners
+        const std::size_t a = heap_[first + 1] < heap_[first] ? first + 1 : first;
+        const std::size_t b = heap_[first + 3] < heap_[first + 2] ? first + 3 : first + 2;
+        best = heap_[b] < heap_[a] ? b : a;
+      } else if (first < n) {
+        for (std::size_t c = first + 1; c < n; ++c) {
+          if (heap_[c] < heap_[best]) best = c;
+        }
+      } else {
+        break;
+      }
+      place(i, heap_[best]);
+      i = best;
+    }
+    heap_[i] = last;
+    sift_up(i);
+    return top;
+  }
+
+ private:
+  __extension__ using Packed = unsigned __int128;
+
+  /// Key bits ordered like the doubles themselves (sign flipped, negatives
+  /// mirrored) above the node id. Dists are never NaN or -0.0.
+  static Packed pack(int node, double key) {
+    const auto b = std::bit_cast<std::uint64_t>(key);
+    const std::uint64_t ordered = (b >> 63) != 0 ? ~b : b | (std::uint64_t{1} << 63);
+    return (static_cast<Packed>(ordered) << 64) | static_cast<std::uint32_t>(node);
+  }
+  static int node_of(Packed e) { return static_cast<int>(static_cast<std::uint32_t>(e)); }
+
+  void place(std::size_t i, Packed e) {
+    heap_[i] = e;
+    pos_[static_cast<std::size_t>(node_of(e))] = static_cast<int>(i);
+  }
+  void sift_up(std::size_t i) {
+    const Packed e = heap_[i];
+    while (i > 0) {
+      const std::size_t p = (i - 1) / 4;
+      if (!(e < heap_[p])) break;
+      place(i, heap_[p]);
+      i = p;
+    }
+    place(i, e);
+  }
+
+  std::vector<Packed> heap_;
+  std::vector<int> pos_;
+};
+
+/// Per-node maze search state, owned by one route_design call and reused by
+/// all of its searches. A node's dist/prev are live only when its stamp
+/// equals the current search's generation, so no search re-initialises the
+/// grid-sized arrays.
+struct MazeScratch {
+  explicit MazeScratch(std::size_t nodes)
+      : dist(nodes, 0.0), prev(nodes, -1), stamp(nodes, 0), heap(nodes) {}
+
+  std::vector<double> dist;
+  std::vector<int> prev;
+  std::vector<std::uint64_t> stamp;
+  std::uint64_t gen = 0;  ///< searches so far (64 bits never wrap)
+  NodeHeap heap;
+  std::int64_t settled = 0;  ///< heap pops summed over all searches
+};
+
+/// Dijkstra maze route between grid points. Nodes settle in (dist, node id)
+/// order and a relax wins only on a strictly smaller dist, so ties keep the
+/// earliest-settled predecessor. Writes the path into `out` (target to
+/// source) and returns false, leaving `out` untouched, if b is unreachable.
+bool maze_route(const Grid& g, GridPt a, GridPt b, MazeScratch& s,
+                std::vector<Seg>& out) {
   const int nx = g.nx(), ny = g.ny();
-  const std::size_t nn = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-  std::vector<double> dist(nn, std::numeric_limits<double>::max());
-  std::vector<int> prev(nn, -1);
-  auto id_of = [&](int x, int y) {
-    return static_cast<std::size_t>(y) * static_cast<std::size_t>(nx) +
-           static_cast<std::size_t>(x);
-  };
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[id_of(a.x, a.y)] = 0.0;
-  pq.push({0.0, id_of(a.x, a.y)});
-  const std::size_t target = id_of(b.x, b.y);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
+  const std::uint64_t gen = ++s.gen;
+  NodeHeap& heap = s.heap;
+  heap.clear();
+  const int source = a.y * nx + a.x;
+  const int target = b.y * nx + b.x;
+  s.stamp[static_cast<std::size_t>(source)] = gen;
+  s.dist[static_cast<std::size_t>(source)] = 0.0;
+  s.prev[static_cast<std::size_t>(source)] = -1;
+  heap.push(source, 0.0);
+  while (!heap.empty()) {
+    const int u = heap.pop();
+    const double d = s.dist[static_cast<std::size_t>(u)];
+    ++s.settled;
     if (u == target) break;
-    const int ux = static_cast<int>(u % static_cast<std::size_t>(nx));
-    const int uy = static_cast<int>(u / static_cast<std::size_t>(nx));
-    auto relax = [&](int vx, int vy, bool horiz, std::size_t eid) {
-      const double nd = d + g.edge_cost(horiz, eid);
-      const std::size_t v = id_of(vx, vy);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        prev[v] = static_cast<int>(u);
-        pq.push({nd, v});
+    const int ux = u % nx;
+    const int uy = u / nx;
+    auto relax = [&](int v, double cost) {
+      const double nd = d + cost;
+      const auto vi = static_cast<std::size_t>(v);
+      const bool reached = s.stamp[vi] == gen;
+      if (reached && !(nd < s.dist[vi])) return;
+      s.stamp[vi] = gen;
+      s.dist[vi] = nd;
+      s.prev[vi] = u;
+      // A reached node is still queued unless settled. A settled node can
+      // improve only under negative history costs; it then goes back on the
+      // heap, as a lazy queue would re-push it.
+      if (reached && heap.pos(v) >= 0) {
+        heap.decrease(v, nd);
+      } else {
+        heap.push(v, nd);
       }
     };
-    if (ux > 0) relax(ux - 1, uy, true, g.h_edge(ux - 1, uy));
-    if (ux + 1 < nx) relax(ux + 1, uy, true, g.h_edge(ux, uy));
-    if (uy > 0) relax(ux, uy - 1, false, g.v_edge(ux, uy - 1));
-    if (uy + 1 < ny) relax(ux, uy + 1, false, g.v_edge(ux, uy));
+    if (ux > 0) relax(u - 1, g.edge_cost(true, g.h_edge(ux - 1, uy)));
+    if (ux + 1 < nx) relax(u + 1, g.edge_cost(true, g.h_edge(ux, uy)));
+    if (uy > 0) relax(u - nx, g.edge_cost(false, g.v_edge(ux, uy - 1)));
+    if (uy + 1 < ny) relax(u + nx, g.edge_cost(false, g.v_edge(ux, uy)));
   }
-  if (dist[target] == std::numeric_limits<double>::max()) return false;
+  if (s.stamp[static_cast<std::size_t>(target)] != gen) return false;
   out.clear();
-  std::size_t cur = target;
-  while (prev[cur] >= 0) {
-    const std::size_t p = static_cast<std::size_t>(prev[cur]);
-    const int cx = static_cast<int>(cur % static_cast<std::size_t>(nx));
-    const int cy = static_cast<int>(cur / static_cast<std::size_t>(nx));
-    const int px = static_cast<int>(p % static_cast<std::size_t>(nx));
-    const int py = static_cast<int>(p / static_cast<std::size_t>(nx));
+  int cur = target;
+  while (s.prev[static_cast<std::size_t>(cur)] >= 0) {
+    const int p = s.prev[static_cast<std::size_t>(cur)];
+    const int cx = cur % nx, cy = cur / nx;
+    const int px = p % nx, py = p / nx;
     if (cy == py) {
       out.push_back({true, g.h_edge(std::min(cx, px), cy)});
     } else {
@@ -212,116 +339,126 @@ RouteResult route_design(const Design& design, const RouterOptions& opt) {
   std::vector<std::vector<Point>> net_pins(static_cast<std::size_t>(num_nets));
   std::vector<std::vector<EdgeRoute>> net_edges(static_cast<std::size_t>(num_nets));
 
-  for (NetId nid = 0; nid < num_nets; ++nid) {
-    const Net& net = design.netlist.net(nid);
-    NetRoute& nr = result.nets[static_cast<std::size_t>(nid)];
-    const int k = net.degree();
-    nr.parent.assign(static_cast<std::size_t>(k), -1);
-    nr.edge_length.assign(static_cast<std::size_t>(k), 0);
-    if (net.is_clock || k < 2) continue;
+  {
+    MTH_SPAN("route/initial");
+    for (NetId nid = 0; nid < num_nets; ++nid) {
+      const Net& net = design.netlist.net(nid);
+      NetRoute& nr = result.nets[static_cast<std::size_t>(nid)];
+      const int k = net.degree();
+      nr.parent.assign(static_cast<std::size_t>(k), -1);
+      nr.edge_length.assign(static_cast<std::size_t>(k), 0);
+      if (net.is_clock || k < 2) continue;
 
-    std::vector<Point>& pins = net_pins[static_cast<std::size_t>(nid)];
-    pins.reserve(static_cast<std::size_t>(k));
-    for (const PinRef& ref : net.pins) {
-      pins.push_back(design.netlist.pin_position(ref, *design.library));
-    }
+      std::vector<Point>& pins = net_pins[static_cast<std::size_t>(nid)];
+      pins.reserve(static_cast<std::size_t>(k));
+      for (const PinRef& ref : net.pins) {
+        pins.push_back(design.netlist.pin_position(ref, *design.library));
+      }
 
-    // Prim MST rooted at the driver (pin 0).
-    std::vector<bool> in_tree(static_cast<std::size_t>(k), false);
-    std::vector<Dbu> best(static_cast<std::size_t>(k), INT64_MAX);
-    std::vector<int> best_parent(static_cast<std::size_t>(k), 0);
-    in_tree[0] = true;
-    for (int i = 1; i < k; ++i) {
-      best[static_cast<std::size_t>(i)] = manhattan(pins[0], pins[static_cast<std::size_t>(i)]);
-    }
-    for (int added = 1; added < k; ++added) {
-      int pick = -1;
-      Dbu pick_d = INT64_MAX;
+      // Prim MST rooted at the driver (pin 0).
+      std::vector<bool> in_tree(static_cast<std::size_t>(k), false);
+      std::vector<Dbu> best(static_cast<std::size_t>(k), INT64_MAX);
+      std::vector<int> best_parent(static_cast<std::size_t>(k), 0);
+      in_tree[0] = true;
       for (int i = 1; i < k; ++i) {
-        if (!in_tree[static_cast<std::size_t>(i)] &&
-            best[static_cast<std::size_t>(i)] < pick_d) {
-          pick_d = best[static_cast<std::size_t>(i)];
-          pick = i;
+        best[static_cast<std::size_t>(i)] = manhattan(pins[0], pins[static_cast<std::size_t>(i)]);
+      }
+      for (int added = 1; added < k; ++added) {
+        int pick = -1;
+        Dbu pick_d = INT64_MAX;
+        for (int i = 1; i < k; ++i) {
+          if (!in_tree[static_cast<std::size_t>(i)] &&
+              best[static_cast<std::size_t>(i)] < pick_d) {
+            pick_d = best[static_cast<std::size_t>(i)];
+            pick = i;
+          }
+        }
+        MTH_ASSERT(pick >= 0, "router: MST failure");
+        in_tree[static_cast<std::size_t>(pick)] = true;
+        nr.parent[static_cast<std::size_t>(pick)] = best_parent[static_cast<std::size_t>(pick)];
+        for (int i = 1; i < k; ++i) {
+          if (in_tree[static_cast<std::size_t>(i)]) continue;
+          const Dbu d = manhattan(pins[static_cast<std::size_t>(pick)],
+                                  pins[static_cast<std::size_t>(i)]);
+          if (d < best[static_cast<std::size_t>(i)]) {
+            best[static_cast<std::size_t>(i)] = d;
+            best_parent[static_cast<std::size_t>(i)] = pick;
+          }
         }
       }
-      MTH_ASSERT(pick >= 0, "router: MST failure");
-      in_tree[static_cast<std::size_t>(pick)] = true;
-      nr.parent[static_cast<std::size_t>(pick)] = best_parent[static_cast<std::size_t>(pick)];
-      for (int i = 1; i < k; ++i) {
-        if (in_tree[static_cast<std::size_t>(i)]) continue;
-        const Dbu d = manhattan(pins[static_cast<std::size_t>(pick)],
-                                pins[static_cast<std::size_t>(i)]);
-        if (d < best[static_cast<std::size_t>(i)]) {
-          best[static_cast<std::size_t>(i)] = d;
-          best_parent[static_cast<std::size_t>(i)] = pick;
-        }
-      }
-    }
 
-    // Realize each MST edge as the cheaper of the two L paths.
-    auto& edges = net_edges[static_cast<std::size_t>(nid)];
-    std::vector<Seg> s1, s2;
-    for (int i = 1; i < k; ++i) {
-      const int par = nr.parent[static_cast<std::size_t>(i)];
-      const GridPt a = grid.locate(pins[static_cast<std::size_t>(par)]);
-      const GridPt b = grid.locate(pins[static_cast<std::size_t>(i)]);
-      l_path(grid, a, b, true, s1);
-      l_path(grid, a, b, false, s2);
-      const bool first = path_cost(grid, s1) <= path_cost(grid, s2);
-      EdgeRoute er;
-      er.child_pin = i;
-      er.parent_pin = par;
-      er.segs = first ? s1 : s2;
-      er.length = manhattan(pins[static_cast<std::size_t>(par)],
-                            pins[static_cast<std::size_t>(i)]);
-      for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, 1.0);
-      edges.push_back(std::move(er));
+      // Realize each MST edge as the cheaper of the two L paths.
+      auto& edges = net_edges[static_cast<std::size_t>(nid)];
+      std::vector<Seg> s1, s2;
+      for (int i = 1; i < k; ++i) {
+        const int par = nr.parent[static_cast<std::size_t>(i)];
+        const GridPt a = grid.locate(pins[static_cast<std::size_t>(par)]);
+        const GridPt b = grid.locate(pins[static_cast<std::size_t>(i)]);
+        l_path(grid, a, b, true, s1);
+        l_path(grid, a, b, false, s2);
+        const bool first = path_cost(grid, s1) <= path_cost(grid, s2);
+        EdgeRoute er;
+        er.child_pin = i;
+        er.parent_pin = par;
+        er.segs = first ? s1 : s2;
+        er.length = manhattan(pins[static_cast<std::size_t>(par)],
+                              pins[static_cast<std::size_t>(i)]);
+        for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, 1.0);
+        edges.push_back(std::move(er));
+      }
     }
   }
 
   // Rip-up & reroute passes over nets touching overflowed edges.
-  for (int pass = 0; pass < opt.ripup_passes; ++pass) {
-    if (grid.count_overflow(nullptr) == 0) break;
-    grid.bump_history(opt.history_increment);
-    int rerouted = 0;
-    for (NetId nid = 0; nid < num_nets; ++nid) {
-      auto& edges = net_edges[static_cast<std::size_t>(nid)];
-      if (edges.empty() ||
-          static_cast<int>(edges.size()) + 1 > opt.max_reroute_degree) {
-        continue;
-      }
-      bool hot = false;
-      for (const EdgeRoute& er : edges) {
-        for (const Seg& s : er.segs) {
-          if (grid.edge_overflowed(s.horiz, s.id)) {
-            hot = true;
-            break;
+  {
+    MTH_SPAN("route/ripup");
+    MazeScratch scratch(static_cast<std::size_t>(grid.nx()) *
+                        static_cast<std::size_t>(grid.ny()));
+    std::vector<Seg> path;
+    for (int pass = 0; pass < opt.ripup_passes; ++pass) {
+      if (grid.count_overflow(nullptr) == 0) break;
+      grid.bump_history(opt.history_increment);
+      int rerouted = 0;
+      for (NetId nid = 0; nid < num_nets; ++nid) {
+        auto& edges = net_edges[static_cast<std::size_t>(nid)];
+        if (edges.empty() ||
+            static_cast<int>(edges.size()) + 1 > opt.max_reroute_degree) {
+          continue;
+        }
+        bool hot = false;
+        for (const EdgeRoute& er : edges) {
+          for (const Seg& s : er.segs) {
+            if (grid.edge_overflowed(s.horiz, s.id)) {
+              hot = true;
+              break;
+            }
           }
+          if (hot) break;
         }
-        if (hot) break;
-      }
-      if (!hot) continue;
-      const std::vector<Point>& pins = net_pins[static_cast<std::size_t>(nid)];
-      for (EdgeRoute& er : edges) {
-        for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, -1.0);
-        std::vector<Seg> path;
-        const GridPt a = grid.locate(pins[static_cast<std::size_t>(er.parent_pin)]);
-        const GridPt b = grid.locate(pins[static_cast<std::size_t>(er.child_pin)]);
-        if (maze_route(grid, a, b, path)) {
-          const Dbu straight = manhattan(pins[static_cast<std::size_t>(er.parent_pin)],
-                                         pins[static_cast<std::size_t>(er.child_pin)]);
-          const Dbu grid_len = static_cast<Dbu>(path.size()) * gcell;
-          er.segs = std::move(path);
-          // Detoured length: never shorter than the straight-line route.
-          er.length = std::max(straight, grid_len);
+        if (!hot) continue;
+        const std::vector<Point>& pins = net_pins[static_cast<std::size_t>(nid)];
+        for (EdgeRoute& er : edges) {
+          for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, -1.0);
+          const GridPt a = grid.locate(pins[static_cast<std::size_t>(er.parent_pin)]);
+          const GridPt b = grid.locate(pins[static_cast<std::size_t>(er.child_pin)]);
+          if (maze_route(grid, a, b, scratch, path)) {
+            const Dbu straight = manhattan(pins[static_cast<std::size_t>(er.parent_pin)],
+                                           pins[static_cast<std::size_t>(er.child_pin)]);
+            const Dbu grid_len = static_cast<Dbu>(path.size()) * gcell;
+            er.segs.assign(path.begin(), path.end());
+            // Detoured length: never shorter than the straight-line route.
+            er.length = std::max(straight, grid_len);
+          }
+          for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, 1.0);
         }
-        for (const Seg& s : er.segs) grid.add_usage(s.horiz, s.id, 1.0);
+        ++rerouted;
       }
-      ++rerouted;
+      MTH_DEBUG << "route pass " << pass << ": rerouted " << rerouted << " nets, "
+                << grid.count_overflow(nullptr) << " edges overflowed";
+      if (rerouted == 0) break;
     }
-    MTH_DEBUG << "route pass " << pass << ": rerouted " << rerouted << " nets, "
-              << grid.count_overflow(nullptr) << " edges overflowed";
-    if (rerouted == 0) break;
+    MTH_COUNT("route/maze_calls", static_cast<std::int64_t>(scratch.gen));
+    MTH_COUNT("route/maze_settled", scratch.settled);
   }
 
   // Collect lengths.

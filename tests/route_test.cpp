@@ -1,7 +1,10 @@
 // Global router tests: tree validity, length lower bounds, congestion
-// response, determinism.
+// response, determinism, and routes pinned to recorded output.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ios>
 
 #include "mth/db/metrics.hpp"
 #include "mth/flows/flow.hpp"
@@ -101,6 +104,63 @@ TEST(Router, Deterministic) {
   const RouteResult b = route_design(d);
   EXPECT_EQ(a.total_wirelength, b.total_wirelength);
   EXPECT_EQ(a.overflowed_edges, b.overflowed_edges);
+}
+
+/// FNV-1a over every net's parent and edge_length arrays (sizes included),
+/// so a single value pins the whole routed topology.
+std::uint64_t topology_digest(const RouteResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const NetRoute& nr : r.nets) {
+    mix(nr.parent.size());
+    for (int p : nr.parent) mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(p)));
+    for (Dbu l : nr.edge_length) mix(static_cast<std::uint64_t>(l));
+  }
+  return h;
+}
+
+struct PinnedRoute {
+  const char* name;
+  RouterOptions options;
+  Dbu wirelength;
+  int overflowed_edges;
+  double max_utilization;
+  std::uint64_t digest;
+};
+
+TEST(Router, RoutesPinnedToRecordedOutput) {
+  // Recorded from the lazy-heap Dijkstra router that the indexed-heap search
+  // replaced; any change to which equal-cost path the maze search picks
+  // moves these.
+  const Design& d = small_case().initial;
+  RouterOptions starved;
+  starved.layers_per_dir = 1;
+  starved.wire_pitch = 640.0;
+  starved.ripup_passes = 4;
+  RouterOptions fine_grid;
+  fine_grid.gcell_size = d.floorplan.row(0).height * 3;
+  const PinnedRoute cases[] = {
+      {"default", RouterOptions{}, 3651556, 7, 0x1.177445dd11774p+0,
+       0x45638125cf44453cull},
+      {"starved", starved, 3794072, 84, 0x1.b226ec89bb226p+4,
+       0xf37ff8a1af9bce8dull},
+      {"fine_grid", fine_grid, 3538427, 24, 0x1.216f485bd216fp+0,
+       0x4757be7d85f3c24dull},
+  };
+  for (const PinnedRoute& c : cases) {
+    const RouteResult r = route_design(d, c.options);
+    EXPECT_EQ(r.total_wirelength, c.wirelength) << c.name;
+    EXPECT_EQ(r.overflowed_edges, c.overflowed_edges) << c.name;
+    EXPECT_EQ(r.max_utilization, c.max_utilization)
+        << c.name << " " << std::hexfloat << r.max_utilization;
+    EXPECT_EQ(topology_digest(r), c.digest)
+        << c.name << " 0x" << std::hex << topology_digest(r);
+  }
 }
 
 TEST(Router, GridSizeOption) {

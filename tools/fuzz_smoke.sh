@@ -7,10 +7,11 @@
 # legalizers with the placement oracle. Any finding exits nonzero and leaves
 # a minimized DEF + JSON repro under the scratch dir (printed on failure).
 #
-# A second (skippable) leg compiles the verify, rap, lp and ilp test suites
-# under AddressSanitizer in a side build directory and runs them, so memory
-# bugs in the oracle/certifier/solver paths (the index-heavy sparse LU
-# included) cannot hide behind green asserts.
+# A second (skippable) leg compiles the verify, rap, lp, ilp, route and
+# cluster test suites under AddressSanitizer in a side build directory and
+# runs them, so memory bugs in the oracle/certifier/solver paths and the
+# index-heavy kernels (sparse LU, the router's indexed heap, the sorted 1-D
+# k-means search) cannot hide behind green asserts.
 #
 # Usage: tools/fuzz_smoke.sh [build-dir]
 # Env:   MTH_FUZZ_ITERS  fuzz iterations          (default 50)
@@ -57,14 +58,15 @@ fi
 
 if [[ "$MTH_FUZZ_ASAN" != "0" ]]; then
   ASAN_DIR="$SRC_DIR/build-asan"
-  echo "[fuzz-smoke] ASan build of verify_test, rap_test, lp_test, ilp_test in $ASAN_DIR"
+  ASAN_TESTS=(verify_test rap_test lp_test ilp_test route_test cluster_test)
+  echo "[fuzz-smoke] ASan build of ${ASAN_TESTS[*]} in $ASAN_DIR"
   cmake -B "$ASAN_DIR" -S "$SRC_DIR" -DMTH_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$TMP/asan-cmake.log" 2>&1 \
     || { cat "$TMP/asan-cmake.log" >&2; exit 1; }
-  cmake --build "$ASAN_DIR" --target verify_test rap_test lp_test ilp_test \
+  cmake --build "$ASAN_DIR" --target "${ASAN_TESTS[@]}" \
     -j "$(nproc)" > "$TMP/asan-build.log" 2>&1 \
     || { tail -50 "$TMP/asan-build.log" >&2; exit 1; }
-  for t in verify_test rap_test lp_test ilp_test; do
+  for t in "${ASAN_TESTS[@]}"; do
     echo "[fuzz-smoke] ASan: $t"
     "$ASAN_DIR/tests/$t" > "$TMP/asan-$t.log" 2>&1 \
       || { tail -50 "$TMP/asan-$t.log" >&2; exit 1; }
